@@ -439,15 +439,14 @@ def fraisse_build(grid, steps, max_size, policy, seed, out_dir, budget_points,
         )
     except BudgetExceeded as exc:
         partial = exc.partial[0] if exc.partial else ()
-        outcome = {"complete": False, "error": str(exc),
-                   "stages": [s.space.n for s in partial]}
+        outcome = {"complete": False, "error": str(exc)}
         manifest = make_manifest(command, dgrid, policy, seed, steps, budgets,
                                  outcome, time.monotonic() - started)
         if partial:
             write_chain(out_dir, partial, manifest)
         click.echo(f"budget exceeded: {exc}", err=True)
         return 3
-    outcome = {"complete": True, "stages": [s.space.n for s in stages]}
+    outcome = {"complete": True}
     manifest = make_manifest(command, dgrid, policy, seed, steps, budgets,
                              outcome, time.monotonic() - started)
     write_chain(out_dir, stages, manifest)

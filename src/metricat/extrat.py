@@ -9,7 +9,8 @@ order is total with ``INF`` on top.
 from __future__ import annotations
 
 import re
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 
 _RAT_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
 
@@ -148,6 +149,23 @@ def _restore(num: int, den: int) -> "ExtRat":
 
 ZERO = ExtRat(0)
 INF = ExtRat._raw(1, 0)
+
+
+def integer_matrix(dist) -> tuple[list[list[int]], int, int]:
+    """Exact integer image of an ExtRat matrix: ``(rows, scale, inf)``.
+
+    Finite entries are scaled by the lcm of their denominators, so order and
+    sums carry over exactly.  INF becomes ``inf``, one more than the sum of
+    every finite entry: above any sum of finite entries, while a sum with an
+    ``inf`` term is at least ``inf``.
+    """
+    dens = {x._den for row in dist for x in row}
+    scale = lcm(*(dens - {0}))  # INF is 1/0 and takes no part in the scale
+    rows = [[x._num * (scale // x._den) if x._den else None for x in row] for row in dist]
+    inf = 1 + sum(filter(None, chain.from_iterable(rows)))
+    if 0 in dens:
+        rows = [[inf if v is None else v for v in row] for row in rows]
+    return rows, scale, inf
 
 
 def rat(value) -> ExtRat:

@@ -14,21 +14,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .budgets import (
-    DEFAULT_NODE_BUDGET,
-    DEFAULT_SPAN_BUDGET,
-    DEFAULT_STAGE_POINT_BUDGET,
-    NodeBudget,
-)
+from .budgets import DEFAULT_SPAN_BUDGET, DEFAULT_STAGE_POINT_BUDGET, NodeBudget
 from .canonical import canonical_form
 from .colimits import pushout
 from .errors import BudgetExceeded, MetricatError, MismatchedEndpoints
 from .extrat import ZERO, ExtRat, rat
 from .homsearch import automorphisms, hom_set, isometric_fillers, isometry_set
 from .spaces import (
-    CoproductResult,
     MetMap,
     Space,
+    _axiom_violations,
     coproduct,
     empty_space,
     is_isometry,
@@ -66,22 +61,7 @@ def enumerate_spaces(grid: DistanceGrid, *, max_nodes: int | None = None) -> tup
             dist = [[ZERO] * n for _ in range(n)]
             for (i, j), v in zip(pairs, combo):
                 dist[i][j] = dist[j][i] = v
-            ok = True
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    for k in range(n):
-                        if k == i or k == j:
-                            continue
-                        if dist[i][k] + dist[k][j] < dist[i][j]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
+            if _axiom_violations(dist):
                 continue
             space = Space(tuple(tuple(row) for row in dist))
             canon = canonical_form(space).space
@@ -242,8 +222,13 @@ def _span_dedup_group(h: MetMap) -> tuple[tuple[int, ...], ...]:
 
 
 def gather_spans(space: Space, stratum, policy: SpanPolicy,
-                 *, max_nodes: int | None = None) -> tuple[tuple[Span, ...], int]:
-    """Deduplicated spans for one step, plus the count skipped as satisfied."""
+                 *, max_nodes: int | None = None,
+                 max_spans: int | None = None) -> tuple[tuple[Span, ...], int]:
+    """Deduplicated spans for one step, plus the count skipped as satisfied.
+
+    With ``max_spans`` set, BudgetExceeded is raised at the first span past
+    the cap, before any further search.
+    """
     spans: list[Span] = []
     skipped = 0
     for h in stratum:
@@ -266,6 +251,10 @@ def gather_spans(space: Space, stratum, policy: SpanPolicy,
                 skipped += 1
                 continue
             spans.append(Span(u, h))
+            if max_spans is not None and len(spans) > max_spans:
+                raise BudgetExceeded(
+                    f"gathered {len(spans)} spans (budget {max_spans})"
+                )
     return tuple(spans), skipped
 
 
@@ -286,12 +275,9 @@ def build_chain(grid: DistanceGrid, steps: int, policy: SpanPolicy | str = DEFAU
     for n in range(steps):
         try:
             spans, skipped = gather_spans(
-                current, catalog.stratum(n), policy, max_nodes=max_nodes
+                current, catalog.stratum(n), policy,
+                max_nodes=max_nodes, max_spans=span_cap,
             )
-            if len(spans) > span_cap:
-                raise BudgetExceeded(
-                    f"step {n} gathered {len(spans)} spans (budget {span_cap})"
-                )
             nxt, k, records = chain_step(current, spans, max_points=max_points)
         except BudgetExceeded as exc:
             stages.append(ChainStage(n, current, None, (), 0, n, False))

@@ -5,20 +5,18 @@ reflection replaces each distance by the least total weight of a chain of
 intermediate points, then identifies points at distance zero; the result is
 the universal space receiving a non-expansive map from the input.
 
-The chain minimization is all-pairs shortest paths.  Internally the finite
-entries are scaled by the lcm of their denominators and relaxed as plain
-integers with an unreachable sentinel standing in for infinity; any true
-finite path weight stays below the sentinel (it is one more than the sum of
-every finite entry), so the computation is exact.
+The chain minimization is all-pairs shortest paths, relaxed as plain
+integers on the exact encoding of ``extrat.integer_matrix``: any true
+finite path weight stays below its infinity sentinel (one more than the sum
+of every finite entry), so the computation is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .errors import SpaceValidationError, Violation
-from .extrat import INF, ZERO, ExtRat, rat
+from .extrat import INF, ZERO, ExtRat, integer_matrix, rat
 from .spaces import MetMap, Space
 
 
@@ -73,22 +71,7 @@ def _shortest_paths(dist) -> list[list[ExtRat]]:
     n = len(dist)
     if n == 0:
         return []
-    denoms = {x.denominator for row in dist for x in row if not x.is_infinite}
-    scale = lcm(*denoms) if denoms else 1
-    total = 0
-    mat = []
-    for row in dist:
-        irow = []
-        for x in row:
-            if x.is_infinite:
-                irow.append(None)
-            else:
-                v = x.numerator * (scale // x.denominator)
-                total += v
-                irow.append(v)
-        mat.append(irow)
-    sentinel = total + 1
-    m = [[sentinel if v is None else v for v in row] for row in mat]
+    m, scale, sentinel = integer_matrix(dist)
     for k in range(n):
         mk = m[k]
         for i in range(n):

@@ -2,7 +2,7 @@
 
     out/
       manifest.json            command, config, grid, seed, budgets, versions,
-                               wall clock, outcome
+                               wall clock, outcome (with every stage's size)
       stages/K_000.json        one space document per stage
       embeddings/k_000_001.json  stage embeddings, endpoints by file reference
       spans/step_000.json      processed span log + skip count per step
@@ -10,28 +10,43 @@
 
 Every document is canonical JSON written atomically; rebuilding a chain with
 the same manifest settings reproduces every byte except the manifest's
-wall_clock_seconds field.
+wall_clock_seconds field.  A directory describes exactly one build: writing
+a chain removes the layout files an earlier build left behind, and loading
+reads exactly the stages the manifest lists.  Each stage file is parsed and
+fully validated once per load; a map's endpoint that refers to a stage
+resolves to that one Space, and a reference to anything else is a
+SchemaError.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 from . import __about__
-from .errors import SchemaError
+from .errors import MismatchedEndpoints, SchemaError
 from .fraisse import (
     AuditReport, ChainStage, DistanceGrid, IsometryCatalog, Span, SpanRecord,
     catalog_isometries, enumerate_spaces,
 )
 from .serialization import (
-    map_from_json, map_to_json, rat_from_json, rat_to_json, read_json,
-    space_from_json, space_to_json, write_json,
+    _expect_int, _expect_list, _expect_object, map_from_json, map_to_json,
+    rat_from_json, rat_to_json, read_json, space_from_json, space_to_json,
+    write_json,
 )
-from .spaces import MetMap, Space
+from .spaces import Space
 
 MANIFEST = "manifest.json"
+AUDIT = "audit.json"
 FORMAT_VERSION = 1
+
+# Layout files a build writes, by directory; anything else there is kept.
+_LAYOUT = {
+    "stages": re.compile(r"K_\d{3,}\.json"),
+    "embeddings": re.compile(r"k_\d{3,}_\d{3,}\.json"),
+    "spans": re.compile(r"step_\d{3,}\.json"),
+}
 
 
 def _stage_name(n: int) -> str:
@@ -51,13 +66,16 @@ def grid_to_json(grid: DistanceGrid) -> dict:
 
 
 def grid_from_json(node, pointer: str = "") -> DistanceGrid:
-    if not isinstance(node, dict) or "values" not in node or "max_size" not in node:
-        raise SchemaError("expected a grid object with values and max_size", pointer)
+    obj = _expect_object(node, pointer, ("values", "max_size"))
     values = tuple(
         rat_from_json(v, f"{pointer}/values/{i}", [])
-        for i, v in enumerate(node["values"])
+        for i, v in enumerate(_expect_list(obj["values"], f"{pointer}/values"))
     )
-    return DistanceGrid(values, node["max_size"])
+    max_size = _expect_int(obj["max_size"], f"{pointer}/max_size")
+    try:
+        return DistanceGrid(values, max_size)
+    except ValueError as exc:
+        raise SchemaError(str(exc), pointer) from None
 
 
 def _span_record_to_json(record: SpanRecord, stage_ref: str, next_ref: str) -> dict:
@@ -69,21 +87,31 @@ def _span_record_to_json(record: SpanRecord, stage_ref: str, next_ref: str) -> d
 
 
 def write_chain(out_dir: str, stages, manifest: dict) -> None:
-    """Persist every stage, embedding, and span log, then the manifest."""
+    """Persist every stage, embedding, and span log, then the manifest.
+
+    The manifest's outcome records the size of every stage written.  Layout
+    files of an earlier build that this one did not write are removed, so the
+    directory holds this build alone.
+    """
+    written = set()
+
+    def put(name: str, payload) -> None:
+        write_json(os.path.join(out_dir, name), payload)
+        written.add(name)
+
     for stage in stages:
-        write_json(os.path.join(out_dir, _stage_name(stage.index)),
-                   space_to_json(stage.space))
+        put(_stage_name(stage.index), space_to_json(stage.space))
     for stage in stages:
         if stage.embedding is None:
             continue
-        write_json(
-            os.path.join(out_dir, _embedding_name(stage.index)),
+        put(
+            _embedding_name(stage.index),
             map_to_json(stage.embedding,
                         dom_ref=_stage_name(stage.index),
                         cod_ref=_stage_name(stage.index + 1)),
         )
-        write_json(
-            os.path.join(out_dir, _span_name(stage.index)),
+        put(
+            _span_name(stage.index),
             {
                 "stratum": stage.stratum,
                 "coverage_complete": stage.coverage_complete,
@@ -95,7 +123,17 @@ def write_chain(out_dir: str, stages, manifest: dict) -> None:
                 ],
             },
         )
-    write_json(os.path.join(out_dir, MANIFEST), manifest)
+    for folder, pattern in _LAYOUT.items():
+        path = os.path.join(out_dir, folder)
+        if not os.path.isdir(path):
+            continue
+        for name in os.listdir(path):
+            if pattern.fullmatch(name) and f"{folder}/{name}" not in written:
+                os.remove(os.path.join(path, name))
+    if os.path.exists(os.path.join(out_dir, AUDIT)):
+        os.remove(os.path.join(out_dir, AUDIT))
+    outcome = {**manifest["outcome"], "stages": [s.space.n for s in stages]}
+    write_json(os.path.join(out_dir, MANIFEST), {**manifest, "outcome": outcome})
 
 
 def make_manifest(command: str, grid: DistanceGrid, policy: str, seed: int,
@@ -121,56 +159,79 @@ class LoadedRun:
     grid: DistanceGrid
 
 
+def _read(out_dir: str, name: str):
+    path = os.path.join(out_dir, name)
+    if not os.path.isfile(path):
+        raise SchemaError(f"missing file {path}", name)
+    return read_json(path)
+
+
+def _span_log_from_json(node, pointer: str, resolver):
+    doc = _expect_object(node, pointer,
+                         ("stratum", "coverage_complete", "skipped", "processed"))
+    stratum = _expect_int(doc["stratum"], f"{pointer}/stratum")
+    skipped = _expect_int(doc["skipped"], f"{pointer}/skipped")
+    coverage = doc["coverage_complete"]
+    if not isinstance(coverage, bool):
+        raise SchemaError("expected a boolean", f"{pointer}/coverage_complete")
+    records = []
+    for j, raw in enumerate(_expect_list(doc["processed"], f"{pointer}/processed")):
+        ptr = f"{pointer}/processed/{j}"
+        entry = _expect_object(raw, ptr, ("u", "h", "copy"))
+        u = map_from_json(entry["u"], f"{ptr}/u", resolver=resolver)
+        h = map_from_json(entry["h"], f"{ptr}/h")
+        copy = map_from_json(entry["copy"], f"{ptr}/copy", resolver=resolver)
+        try:
+            records.append(SpanRecord(Span(u, h), copy))
+        except MismatchedEndpoints as exc:
+            raise SchemaError(str(exc), ptr) from None
+    return tuple(records), skipped, stratum, coverage
+
+
 def load_chain(out_dir: str) -> LoadedRun:
-    """Rebuild the stage list (spaces, embeddings, logs) from disk."""
-    manifest_path = os.path.join(out_dir, MANIFEST)
-    if not os.path.exists(manifest_path):
-        raise SchemaError(f"no manifest at {manifest_path}", "")
-    manifest = read_json(manifest_path)
-    if not isinstance(manifest, dict) or "grid" not in manifest:
-        raise SchemaError("manifest missing grid", "/grid")
-    grid = grid_from_json(manifest["grid"], "/grid")
+    """Rebuild the stage list (spaces, embeddings, logs) from disk.
 
-    spaces: list[Space] = []
-    n = 0
-    while os.path.exists(os.path.join(out_dir, _stage_name(n))):
-        spaces.append(space_from_json(read_json(os.path.join(out_dir, _stage_name(n)))))
-        n += 1
-    if not spaces:
-        raise SchemaError(f"no stages under {out_dir}", "")
+    The stages are the ones ``manifest.outcome.stages`` lists.  A listed
+    stage whose file is missing or whose size differs from the manifest, and
+    any malformed document, raise SchemaError.
+    """
+    manifest = _read(out_dir, MANIFEST)
+    ptr = f"{MANIFEST}#"
+    if not isinstance(manifest, dict):
+        raise SchemaError("expected an object", ptr)
+    grid = grid_from_json(manifest.get("grid"), f"{ptr}/grid")
+    outcome = manifest.get("outcome")
+    if not isinstance(outcome, dict):
+        raise SchemaError("expected an outcome object", f"{ptr}/outcome")
+    complete = outcome.get("complete")
+    if not isinstance(complete, bool):
+        raise SchemaError("expected a boolean", f"{ptr}/outcome/complete")
+    sizes = _expect_list(outcome.get("stages"), f"{ptr}/outcome/stages")
+    if not sizes:
+        raise SchemaError("no stages listed", f"{ptr}/outcome/stages")
 
-    def resolver(ref: str) -> Space:
-        path = os.path.normpath(os.path.join(out_dir, ref))
-        return space_from_json(read_json(path))
+    spaces: dict[str, Space] = {}
+    for i, size in enumerate(sizes):
+        size = _expect_int(size, f"{ptr}/outcome/stages/{i}")
+        name = _stage_name(i)
+        space = space_from_json(_read(out_dir, name), f"{name}#")
+        if space.n != size:
+            raise SchemaError(f"{name} has {space.n} points, the manifest lists {size}",
+                              f"{ptr}/outcome/stages/{i}")
+        spaces[name] = space
 
+    chain = list(spaces.values())
     stages: list[ChainStage] = []
-    for i, space in enumerate(spaces):
-        emb_path = os.path.join(out_dir, _embedding_name(i))
-        embedding = None
-        span_log: tuple[SpanRecord, ...] = ()
-        skipped = 0
-        stratum = i
-        coverage = True
-        if os.path.exists(emb_path):
-            embedding = map_from_json(read_json(emb_path), resolver=resolver)
-            span_path = os.path.join(out_dir, _span_name(i))
-            if os.path.exists(span_path):
-                doc = read_json(span_path)
-                stratum = doc.get("stratum", i)
-                coverage = doc.get("coverage_complete", True)
-                skipped = doc.get("skipped", 0)
-                records = []
-                for j, raw in enumerate(doc.get("processed", ())):
-                    u = map_from_json(raw["u"], f"/processed/{j}/u", resolver=resolver)
-                    h = map_from_json(raw["h"], f"/processed/{j}/h")
-                    copy = map_from_json(raw["copy"], f"/processed/{j}/copy",
-                                         resolver=resolver)
-                    records.append(SpanRecord(Span(u, h), copy))
-                span_log = tuple(records)
-        else:
-            coverage = bool(manifest.get("outcome", {}).get("complete", True))
-        stages.append(ChainStage(i, space, embedding, span_log, skipped,
-                                 stratum, coverage))
+    for i, space in enumerate(chain[:-1]):
+        name = _embedding_name(i)
+        embedding = map_from_json(_read(out_dir, name), f"{name}#", resolver=spaces.get)
+        if embedding.dom is not space or embedding.cod is not chain[i + 1]:
+            raise SchemaError(f"does not embed stage {i} into stage {i + 1}", f"{name}#")
+        name = _span_name(i)
+        log = _span_log_from_json(_read(out_dir, name), f"{name}#", spaces.get)
+        stages.append(ChainStage(i, space, embedding, *log))
+    last = len(chain) - 1
+    stages.append(ChainStage(last, chain[last], None, (), 0, last, complete))
     return LoadedRun(manifest, tuple(stages), grid)
 
 
@@ -196,4 +257,4 @@ def audit_to_json(report: AuditReport) -> dict:
 
 
 def write_audit(out_dir: str, report: AuditReport) -> None:
-    write_json(os.path.join(out_dir, "audit.json"), audit_to_json(report))
+    write_json(os.path.join(out_dir, AUDIT), audit_to_json(report))

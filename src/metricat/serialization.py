@@ -15,8 +15,8 @@ import tempfile
 from typing import Any, Callable
 
 from .colimits import FinDiagram
-from .errors import SchemaError, SpaceValidationError
-from .extrat import INF, ExtRat
+from .errors import SchemaError
+from .extrat import ExtRat
 from .spaces import MetMap, Space
 
 
@@ -106,12 +106,7 @@ def space_from_json(node: Any, pointer: str = "", warnings: list[str] | None = N
             if not isinstance(name, str):
                 raise SchemaError("labels must be strings", f"{pointer}/labels/{i}")
         labels = tuple(raw)
-    try:
-        space = Space(tuple(tuple(r) for r in matrix), labels)
-        space.assert_metric()
-    except SpaceValidationError:
-        raise
-    return space
+    return Space(tuple(tuple(r) for r in matrix), labels).assert_metric()
 
 
 # ------------------------------------------------------------------ morphism
@@ -125,7 +120,9 @@ def map_to_json(m: MetMap, dom_ref: str | None = None, cod_ref: str | None = Non
 
 
 def map_from_json(node: Any, pointer: str = "", warnings: list[str] | None = None,
-                  resolver: Callable[[str], Space] | None = None) -> MetMap:
+                  resolver: Callable[[str], Space | None] | None = None) -> MetMap:
+    """Decode a map; a string endpoint is a reference looked up by ``resolver``,
+    which returns None for a reference it does not know."""
     w = [] if warnings is None else warnings
     obj = _expect_object(node, pointer, ("dom", "cod", "map"))
 
@@ -134,7 +131,10 @@ def map_from_json(node: Any, pointer: str = "", warnings: list[str] | None = Non
         if isinstance(sub, str):
             if resolver is None:
                 raise SchemaError("space reference not allowed here", f"{pointer}/{key}")
-            return resolver(sub)
+            space = resolver(sub)
+            if space is None:
+                raise SchemaError(f"unknown space reference {sub!r}", f"{pointer}/{key}")
+            return space
         return space_from_json(sub, f"{pointer}/{key}", w)
 
     dom = endpoint("dom")
@@ -161,7 +161,7 @@ def pair_to_json(f: MetMap, g: MetMap) -> dict:
 
 
 def pair_from_json(node: Any, pointer: str = "", warnings: list[str] | None = None,
-                   resolver: Callable[[str], Space] | None = None) -> tuple[MetMap, MetMap]:
+                   resolver: Callable[[str], Space | None] | None = None) -> tuple[MetMap, MetMap]:
     obj = _expect_object(node, pointer, ("f", "g"))
     f = map_from_json(obj["f"], f"{pointer}/f", warnings, resolver)
     g = map_from_json(obj["g"], f"{pointer}/g", warnings, resolver)
@@ -245,7 +245,11 @@ def loads(text: str) -> Any:
 
 def read_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"not UTF-8 text: {exc.reason}", "") from None
+    return loads(text)
 
 
 def write_json(path: str, payload: Any) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import add
 
 from .budgets import DEFAULT_POINT_BUDGET
 from .errors import (
@@ -19,11 +20,16 @@ from .errors import (
     SpaceValidationError,
     Violation,
 )
-from .extrat import INF, ZERO, ExtRat, rat
+from .extrat import INF, ZERO, ExtRat, integer_matrix, rat
 
 
 def _axiom_violations(dist, *, full: bool = True):
-    """Collect every violated axiom of a square ExtRat matrix."""
+    """Collect every violated axiom of a square ExtRat matrix.
+
+    The triangle check runs on the exact integer image of the matrix: each
+    pair i < j is tested against every k at once, and k is walked only for a
+    failing pair, to name its first witness.
+    """
     out = []
     n = len(dist)
     for i, row in enumerate(dist):
@@ -40,20 +46,22 @@ def _axiom_violations(dist, *, full: bool = True):
                 out.append(Violation("Asymmetric", (i, j)))
             elif dist[i][j] == ZERO:
                 out.append(Violation("ZeroOffDiagonal", (i, j)))
-    if out or not full:
+    if out or not full or n < 3:
         return out
+    m, _, _ = integer_matrix(dist)
+    failed = {}
     for i in range(n):
-        di = dist[i]
-        for j in range(n):
-            if i == j:
-                continue
-            dij = di[j]
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if di[k] + dist[k][j] < dij:
-                    out.append(Violation("TriangleViolation", (i, j, k)))
-                    break
+        mi = m[i]
+        for j in range(i + 1, n):
+            mij = mi[j]
+            if min(map(add, mi, m[j])) < mij:
+                failed[i, j] = next(
+                    k for k, (a, b) in enumerate(zip(mi, m[j])) if a + b < mij
+                )
+    if failed:
+        # A symmetric matrix fails (i, j) and (j, i) with the same first witness.
+        for i, j in sorted([*failed, *((j, i) for i, j in failed)]):
+            out.append(Violation("TriangleViolation", (i, j, failed[min(i, j), max(i, j)])))
     return out
 
 
@@ -64,8 +72,11 @@ class Space:
     ``dist`` is the full symmetric matrix; ``labels`` are optional display
     names.  Construction checks the cheap axioms (shape, diagonal, symmetry,
     separation); the triangle inequality is enforced at every public boundary
-    by :func:`validate_space` and holds by construction for internally built
-    spaces (see ``assert_metric`` used throughout the tests).
+    by :func:`validate_space` and the JSON decoders, and holds by
+    construction for internally built spaces (see ``assert_metric`` used
+    throughout the tests).  Loading a run directory decodes and fully
+    validates each stage file once, and every map that refers to the stage
+    shares that one Space.
     """
 
     dist: tuple[tuple[ExtRat, ...], ...]

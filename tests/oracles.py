@@ -7,8 +7,42 @@ point is to agree with the fast code while sharing none of its structure.
 
 import itertools
 
+from metricat.errors import Violation
 from metricat.extrat import INF, ZERO, ExtRat
 from metricat.spaces import Space
+
+
+def axiom_violations_brute(dist):
+    """Every violated space axiom, by the plain ExtRat triple loop.
+
+    Same report as ``spaces._axiom_violations``: shape first, then diagonal,
+    symmetry and separation, and only on a matrix that passes those, one
+    TriangleViolation (i, j, k) per ordered pair with its first witness k.
+    """
+    n = len(dist)
+    out = [Violation("NotSquare", (i,)) for i, row in enumerate(dist) if len(row) != n]
+    if out:
+        return out
+    for i in range(n):
+        if dist[i][i] != ZERO:
+            out.append(Violation("NonZeroDiagonal", (i,)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dist[i][j] != dist[j][i]:
+                out.append(Violation("Asymmetric", (i, j)))
+            elif dist[i][j] == ZERO:
+                out.append(Violation("ZeroOffDiagonal", (i, j)))
+    if out:
+        return out
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            for k in range(n):
+                if k != i and k != j and dist[i][k] + dist[k][j] < dist[i][j]:
+                    out.append(Violation("TriangleViolation", (i, j, k)))
+                    break
+    return out
 
 
 def simple_path_closure(dist):

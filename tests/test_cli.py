@@ -1,5 +1,7 @@
+import json
 import os
 
+import pytest
 from click.testing import CliRunner
 
 from metricat.cli import main
@@ -259,3 +261,89 @@ class TestFraisseCommands:
         assert os.path.exists(os.path.join(run_dir, "stages", "K_000.json"))
         audited = invoke(["fraisse", "audit", run_dir])
         assert audited.exit_code in (0, 1)
+
+
+def _set(rel, path, value):
+    """A run-directory edit: set the node at ``path`` (a key list) of ``rel``."""
+    def edit(run_dir):
+        file = os.path.join(run_dir, rel)
+        doc = read_json(file)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        write_json(file, doc)
+    return edit
+
+
+def _replace(rel, payload):
+    def edit(run_dir):
+        file = os.path.join(run_dir, rel)
+        if isinstance(payload, bytes):
+            with open(file, "wb") as fh:
+                fh.write(payload)
+        else:
+            write_json(file, payload)
+    return edit
+
+
+def _reference_outside(run_dir):
+    outside = os.path.join(os.path.dirname(run_dir), "outside.json")
+    write_json(outside, read_json(os.path.join(run_dir, "stages", "K_000.json")))
+    _set("embeddings/k_000_001.json", ["dom"], "../outside.json")(run_dir)
+
+
+BAD_RUN_DIRS = {
+    "span-record-without-keys": _set("spans/step_000.json", ["processed"], [{}]),
+    "span-log-not-an-object": _replace("spans/step_000.json", []),
+    "manifest-not-an-object": _replace("manifest.json", []),
+    "max-size-string": _set("manifest.json", ["grid", "max_size"], "x"),
+    "max-size-negative": _set("manifest.json", ["grid", "max_size"], -1),
+    "max-size-bool": _set("manifest.json", ["grid", "max_size"], True),
+    "grid-values-not-an-array": _set("manifest.json", ["grid", "values"], "1,2"),
+    "stage-reference-outside-the-run": _reference_outside,
+    "stage-not-utf8": _replace("stages/K_001.json", b"\xff\xfe"),
+    "stage-size-differs-from-manifest": _set("manifest.json", ["outcome", "stages"], [0, 1, 5]),
+}
+
+
+class TestRunDirectoryErrors:
+    @staticmethod
+    def _build(tmp_path, steps=2):
+        run_dir = str(tmp_path / "run")
+        built = invoke(["fraisse", "build", "--grid", "1", "--steps", str(steps),
+                        "--max-size", "2", "--out", run_dir])
+        assert built.exit_code == 0
+        return run_dir
+
+    @pytest.mark.parametrize("case", sorted(BAD_RUN_DIRS))
+    def test_malformed_run_directory_is_a_schema_error(self, tmp_path, case):
+        run_dir = self._build(tmp_path)
+        BAD_RUN_DIRS[case](run_dir)
+        result = invoke(["fraisse", "audit", run_dir])
+        assert result.exit_code == 2
+        assert "schema error" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_triangle_violation_in_a_stage_fails_the_audit(self, tmp_path):
+        run_dir = self._build(tmp_path)
+        dist = [["0" if i == j else "1" for j in range(4)] for i in range(4)]
+        dist[0][1] = dist[1][0] = "3"
+        _replace("stages/K_002.json", {"points": 4, "dist": dist})(run_dir)
+        result = invoke(["fraisse", "audit", run_dir])
+        assert result.exit_code == 1
+        assert "invalid space" in result.stderr
+        assert "TriangleViolation(0, 1, 2)" in result.stderr
+
+    def test_shorter_rebuild_replaces_the_longer_one(self, tmp_path):
+        run_dir = str(tmp_path / "run")
+        build = ["fraisse", "build", "--grid", "1,2", "--max-size", "2", "--out", run_dir]
+        assert invoke(build + ["--steps", "3"]).exit_code == 0
+        assert invoke(["fraisse", "audit", run_dir]).exit_code == 0
+        assert invoke(build + ["--steps", "1"]).exit_code == 0
+        assert sorted(os.listdir(os.path.join(run_dir, "stages"))) == [
+            "K_000.json", "K_001.json"]
+        assert not os.path.exists(os.path.join(run_dir, "audit.json"))
+        audited = invoke(["fraisse", "audit", run_dir])
+        assert audited.exit_code == 0
+        assert len(json.loads(audited.stdout)["stages"]) == 1

@@ -1,7 +1,11 @@
+import os
+from collections import Counter
+
 import pytest
 
+from metricat import rundir
 from metricat.canonical import are_isomorphic
-from metricat.errors import BudgetExceeded
+from metricat.errors import BudgetExceeded, SchemaError
 from metricat.extrat import INF, rat
 from metricat.fraisse import (
     POLICIES,
@@ -176,6 +180,14 @@ class TestGatherSpans:
         full_spans, _ = gather_spans(stage, catalog.stratum(1), POLICIES["full-skip"])
         assert len(full_spans) > len(iso_spans)
 
+    def test_span_cap_is_charged_while_gathering(self):
+        catalog = catalog_isometries(enumerate_spaces(GRID_1), max_size=2)
+        args = (one_point(), catalog.stratum(1), POLICIES["iso-all"])
+        spans, skipped = gather_spans(*args)
+        assert gather_spans(*args, max_spans=len(spans)) == (spans, skipped)
+        with pytest.raises(BudgetExceeded, match=rf"{len(spans)} spans \(budget {len(spans) - 1}\)"):
+            gather_spans(*args, max_spans=len(spans) - 1)
+
     def test_policy_names_round_trip(self):
         for name, policy in POLICIES.items():
             assert policy_name(policy) == name
@@ -216,6 +228,12 @@ class TestBuildChain:
         with pytest.raises(BudgetExceeded) as err:
             build_chain(GRID_12, 3, max_spans=4)
         assert err.value.partial is not None
+
+    def test_default_span_budget_stops_at_the_first_span_past_it(self):
+        with pytest.raises(BudgetExceeded, match=r"513 spans \(budget 512\)") as err:
+            build_chain(DistanceGrid((1, 2), 4), 4)
+        partial, _ = err.value.partial
+        assert [s.space.n for s in partial] == [0, 1, 7, 133]
 
 
 class TestAudit:
@@ -300,7 +318,64 @@ class TestRunDirectory:
         assert [a.checked for a in loaded.stages] == [a.checked for a in direct.stages]
 
     def test_missing_manifest_is_a_schema_error(self, tmp_path):
-        from metricat.errors import SchemaError
-
         with pytest.raises(SchemaError):
             load_chain(str(tmp_path / "nope"))
+
+    def _write(self, out, steps):
+        stages, _ = build_chain(GRID_1, steps)
+        manifest = make_manifest(
+            "test", GRID_1, "iso-skip", seed=0, steps=steps,
+            budgets={}, outcome={"complete": True}, wall_clock_seconds=0.0,
+        )
+        write_chain(out, stages, manifest)
+        return stages
+
+    def test_each_stage_file_is_read_once(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "run")
+        self._write(out, 2)
+        reads = Counter()
+        read_json = rundir.read_json
+
+        def counting(path):
+            reads[os.path.relpath(path, out)] += 1
+            return read_json(path)
+
+        monkeypatch.setattr(rundir, "read_json", counting)
+        run = load_chain(out)
+        assert {p: c for p, c in reads.items() if p.startswith("stages")} == {
+            "stages/K_000.json": 1, "stages/K_001.json": 1, "stages/K_002.json": 1,
+        }
+        for stage, nxt in zip(run.stages, run.stages[1:]):
+            assert stage.embedding.dom is stage.space
+            assert stage.embedding.cod is nxt.space
+            for record in stage.span_log:
+                assert record.span.u.cod is stage.space
+                assert record.copy.cod is nxt.space
+
+    def test_shorter_rebuild_leaves_no_stale_files(self, tmp_path):
+        out = str(tmp_path / "run")
+        self._write(out, 2)
+        with open(os.path.join(out, "audit.json"), "w", encoding="utf-8") as fh:
+            fh.write("{}\n")
+        self._write(out, 1)
+        assert sorted(os.listdir(os.path.join(out, "stages"))) == ["K_000.json", "K_001.json"]
+        assert os.listdir(os.path.join(out, "embeddings")) == ["k_000_001.json"]
+        assert os.listdir(os.path.join(out, "spans")) == ["step_000.json"]
+        assert not os.path.exists(os.path.join(out, "audit.json"))
+        assert [s.space.n for s in load_chain(out).stages] == [0, 1]
+
+    def test_stage_list_comes_from_the_manifest(self, tmp_path):
+        out = str(tmp_path / "run")
+        self._write(out, 2)
+        manifest_path = os.path.join(out, "manifest.json")
+        manifest = rundir.read_json(manifest_path)
+        assert manifest["outcome"]["stages"] == [0, 1, 4]
+        manifest["outcome"]["stages"] = [0, 1, 5]
+        rundir.write_json(manifest_path, manifest)
+        with pytest.raises(SchemaError, match="K_002.json has 4 points"):
+            load_chain(out)
+        manifest["outcome"]["stages"] = [0, 1, 4]
+        rundir.write_json(manifest_path, manifest)
+        os.remove(os.path.join(out, "stages", "K_002.json"))
+        with pytest.raises(SchemaError, match="missing file"):
+            load_chain(out)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricat.corpus import CorpusConfig, random_space
@@ -16,6 +16,7 @@ from metricat.homsearch import hom_set
 from metricat.spaces import (
     MetMap,
     Space,
+    _axiom_violations,
     compose,
     coproduct,
     empty_space,
@@ -29,6 +30,31 @@ from metricat.spaces import (
     two_point,
     validate_space,
 )
+
+from .oracles import axiom_violations_brute
+
+AXIOM_VALUES = tuple(rat(v) for v in ("1/2", "1", "3/2", "5/3", "2", "7")) + (INF,)
+
+
+@st.composite
+def distance_matrices(draw):
+    """Symmetric matrices over AXIOM_VALUES, some closed into metrics, some
+    with one entry overwritten (possibly breaking symmetry or the diagonal)."""
+    n = draw(st.integers(0, 7))
+    dist = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = draw(st.sampled_from(AXIOM_VALUES))
+    if draw(st.booleans()):
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    if dist[i][k] + dist[k][j] < dist[i][j]:
+                        dist[i][j] = dist[i][k] + dist[k][j]
+    if n and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        dist[i][j] = draw(st.sampled_from((ZERO,) + AXIOM_VALUES))
+    return tuple(tuple(row) for row in dist)
 
 
 def seeded_spaces(count, seed, max_points=3):
@@ -273,6 +299,11 @@ class TestSpaceProperties:
         rng = random.Random(seed)
         sp = random_space(rng, CorpusConfig(max_points=4))
         sp.assert_metric()
+
+    @settings(max_examples=400)
+    @given(distance_matrices())
+    def test_axiom_violations_match_the_triple_loop(self, dist):
+        assert _axiom_violations(dist) == axiom_violations_brute(dist)
 
     def test_spaces_hash_by_value(self):
         a = validate_space([[0, 1], [1, 0]])
