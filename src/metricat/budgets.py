@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, UsageError
 
 DEFAULT_POINT_BUDGET = 64          # per constructed space in combinatorial ops
 DEFAULT_NODE_BUDGET = 10_000_000   # per search call
@@ -28,7 +28,7 @@ def node_ceiling(requested: int | None = None) -> int:
         try:
             limit = min(limit, int(env))
         except ValueError:
-            raise BudgetExceeded(f"{_ENV_NODES} is not an integer: {env!r}")
+            raise UsageError(f"{_ENV_NODES} is not an integer: {env!r}") from None
     return limit
 
 

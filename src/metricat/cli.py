@@ -12,10 +12,7 @@ import time
 
 import click
 
-from .budgets import (
-    DEFAULT_NODE_BUDGET, DEFAULT_SPAN_BUDGET, DEFAULT_STAGE_POINT_BUDGET,
-    node_ceiling,
-)
+from .budgets import DEFAULT_SPAN_BUDGET, DEFAULT_STAGE_POINT_BUDGET, node_ceiling
 from .canonical import canonical_form
 from .colimits import eps_coequalizer, eps_colimit, eps_pushout
 from .corpus import CorpusConfig

@@ -15,7 +15,7 @@ from .budgets import DEFAULT_STAGE_POINT_BUDGET
 from .errors import BudgetExceeded, MismatchedEndpoints
 from .extrat import ZERO, ExtRat, rat
 from .reflect import Reflection, Semimetric, reflect
-from .spaces import CoproductResult, MetMap, Space, coproduct, hom_dist
+from .spaces import MetMap, Space, coproduct, hom_dist
 
 
 def _bridged(base: Space, bridges) -> Reflection:

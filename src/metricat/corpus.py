@@ -7,7 +7,7 @@ re-running with the same seed reproduces every instance bit for bit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .colimits import FinDiagram
 from .extrat import INF, ExtRat, rat

@@ -41,6 +41,11 @@ class MismatchedEndpoints(MetricatError):
     """Operands do not share the required domain/codomain."""
 
 
+class UsageError(MetricatError):
+    """A setting or argument the package cannot use, such as a malformed
+    environment variable."""
+
+
 class BudgetExceeded(MetricatError):
     """A configured search or size budget was exhausted.
 

@@ -1,19 +1,31 @@
-"""Enumeration of hom-sets and isometry sets by pruned backtracking.
+"""Enumeration of hom-sets, isometry sets and isometric fillers.
 
-Maps are produced in lexicographic order of their index tuples, so every
-enumeration is deterministic.  Assignments are pruned as soon as a partial
-image pair expands (hom) or distorts (isometry) a domain distance; each
-attempted assignment costs one budget node.
+One pruned backtracking kernel serves all three.  It assigns the domain
+points in order, so maps come out in lexicographic order of their index
+tuples.  It compares integer ranks (``Space.ranks``), never ExtRat values:
+each domain distance becomes the codomain rank that its image pair must
+equal (isometries) or not exceed (non-expansive maps), so every verdict
+stays exact.  An isometric search draws a point's candidates from the
+codomain's sphere index (``Space.spheres``): the points at the required rank
+from the image of point 0, or for point 0 from the lowest forced point.
+Each candidate tried costs one budget node, whether it came from the index
+or from the whole codomain.  A cached hom-set or isometry set keeps the
+nodes its search spent and a cache hit charges them again, so a budget's
+outcome does not depend on the cache; calls with ``max_nodes`` bypass it.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from itertools import islice
 
 from .budgets import NodeBudget
 from .errors import InvalidMorphism
 from .spaces import MetMap, Space
 
-_hom_cache: dict[tuple[Space, Space], tuple[MetMap, ...]] = {}
-_iso_cache: dict[tuple[Space, Space], tuple[MetMap, ...]] = {}
+_Cache = dict[tuple[Space, Space], tuple[tuple[MetMap, ...], int]]
+_hom_cache: _Cache = {}
+_iso_cache: _Cache = {}
 
 
 def clear_caches() -> None:
@@ -21,73 +33,93 @@ def clear_caches() -> None:
     _iso_cache.clear()
 
 
-def _search(dom: Space, cod: Space, exact: bool, budget: NodeBudget):
+def _required(dom: Space, cod: Space, exact: bool) -> list[list[int]]:
+    """dom's distances as cod ranks: the rank an image pair must equal
+    (``exact``; -1 where cod has no such distance) or not exceed."""
+    values, _ = cod.ranks()
+    dvalues, drank = dom.ranks()
+    if exact:
+        to = [bisect_left(values, v) for v in dvalues]
+        to = [r if r < len(values) and values[r] == v else -1 for r, v in zip(to, dvalues)]
+    else:
+        to = [bisect_right(values, v) - 1 for v in dvalues]
+    return [[to[r] for r in drank[i:i + dom.n]] for i in range(0, len(drank), dom.n)]
+
+
+def _search(dom: Space, cod: Space, exact: bool, budget: NodeBudget, forced=None):
+    """Index tuples of the maps dom -> cod, lexicographically ordered.
+
+    ``forced`` maps points of dom to the only image they may take.
+    """
     n, m = dom.n, cod.n
     if n == 0:
         yield ()
         return
     if m == 0:
         return
-    dd, cd = dom.dist, cod.dist
+    req = _required(dom, cod, exact)
+    rank = cod.ranks()[1]
+    forced = forced or {}
+    everywhere = range(m)
+    if exact:
+        if any(r < 0 for row in req for r in row):
+            return
+        spheres = cod.spheres()
+        anchor = min(forced, default=None)
     img = [0] * n
 
     def extend(i: int):
-        di = dd[i]
-        for c in range(m):
+        ri = req[i]
+        if i in forced:
+            candidates = (forced[i],)
+        elif exact and i:
+            candidates = spheres[img[0]][ri[0]]
+        elif exact and anchor is not None:
+            candidates = spheres[forced[anchor]][ri[anchor]]
+        else:
+            candidates = everywhere
+        for c in candidates:
             budget.spend()
-            row = cd[c]
-            ok = True
+            row = c * m
             for j in range(i):
-                d = row[img[j]]
-                if exact:
-                    if d != di[j]:
-                        ok = False
-                        break
-                elif d > di[j]:
-                    ok = False
+                d = rank[row + img[j]]
+                if (d != ri[j]) if exact else (d > ri[j]):
                     break
-            if not ok:
-                continue
-            img[i] = c
-            if i + 1 == n:
-                yield tuple(img)
             else:
-                yield from extend(i + 1)
+                img[i] = c
+                if i + 1 == n:
+                    yield tuple(img)
+                else:
+                    yield from extend(i + 1)
 
     yield from extend(0)
 
 
 def _wrap(dom: Space, cod: Space, tuples) -> tuple[MetMap, ...]:
-    out = []
-    for t in tuples:
-        m = object.__new__(MetMap)
-        object.__setattr__(m, "dom", dom)
-        object.__setattr__(m, "cod", cod)
-        object.__setattr__(m, "map", t)
-        out.append(m)
-    return tuple(out)
+    return tuple(MetMap._trusted(dom, cod, t) for t in tuples)
+
+
+def _enumerate(cache: _Cache, dom: Space, cod: Space, exact: bool,
+               max_nodes: int | None) -> tuple[MetMap, ...]:
+    budget = NodeBudget(max_nodes)
+    hit = cache.get((dom, cod)) if max_nodes is None else None
+    if hit is not None:
+        budget.spend(hit[1])
+        return hit[0]
+    maps = _wrap(dom, cod, _search(dom, cod, exact, budget))
+    if max_nodes is None:
+        cache[(dom, cod)] = (maps, budget.used)
+    return maps
 
 
 def hom_set(dom: Space, cod: Space, *, max_nodes: int | None = None) -> tuple[MetMap, ...]:
     """All non-expansive maps dom -> cod, lexicographically ordered."""
-    if max_nodes is None and (dom, cod) in _hom_cache:
-        return _hom_cache[(dom, cod)]
-    budget = NodeBudget(max_nodes)
-    maps = _wrap(dom, cod, _search(dom, cod, exact=False, budget=budget))
-    if max_nodes is None:
-        _hom_cache[(dom, cod)] = maps
-    return maps
+    return _enumerate(_hom_cache, dom, cod, False, max_nodes)
 
 
 def isometry_set(dom: Space, cod: Space, *, max_nodes: int | None = None) -> tuple[MetMap, ...]:
     """All distance-preserving maps dom -> cod, lexicographically ordered."""
-    if max_nodes is None and (dom, cod) in _iso_cache:
-        return _iso_cache[(dom, cod)]
-    budget = NodeBudget(max_nodes)
-    maps = _wrap(dom, cod, _search(dom, cod, exact=True, budget=budget))
-    if max_nodes is None:
-        _iso_cache[(dom, cod)] = maps
-    return maps
+    return _enumerate(_iso_cache, dom, cod, True, max_nodes)
 
 
 def automorphisms(space: Space, *, max_nodes: int | None = None) -> tuple[MetMap, ...]:
@@ -106,47 +138,15 @@ def isometric_fillers(
 
     ``h`` maps X -> Y and ``pinned`` maps X -> K; the search assigns the
     points of Y, with h-image points forced through ``pinned``.  Used both by
-    the chain builder's skip rule and by the saturation audit.
+    the chain builder's skip rule and by the saturation audit.  With
+    ``first_only`` it returns the lexicographically first filler alone.
     """
     if h.dom != pinned.dom:
         raise InvalidMorphism("filler search needs a shared domain")
-    Y, K = h.cod, pinned.cod
     budget = NodeBudget(max_nodes)
     forced: dict[int, int] = {}
-    for x in range(h.dom.n):
-        y = h.map[x]
-        k = pinned.map[x]
+    for y, k in zip(h.map, pinned.map):
         if forced.setdefault(y, k) != k:
             return ()
-    yd, kd = Y.dist, K.dist
-    img = [0] * Y.n
-    found: list[tuple[int, ...]] = []
-
-    def extend(i: int):
-        candidates = (forced[i],) if i in forced else range(K.n)
-        di = yd[i]
-        for c in candidates:
-            budget.spend()
-            row = kd[c]
-            ok = True
-            for j in range(i):
-                if row[img[j]] != di[j]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            img[i] = c
-            if i + 1 == Y.n:
-                found.append(tuple(img))
-                if first_only:
-                    return True
-            else:
-                if extend(i + 1):
-                    return True
-        return False
-
-    if Y.n == 0:
-        found.append(())
-    else:
-        extend(0)
-    return _wrap(Y, K, found)
+    found = _search(h.cod, pinned.cod, True, budget, forced)
+    return _wrap(h.cod, pinned.cod, islice(found, 1 if first_only else None))

@@ -12,7 +12,6 @@ from itertools import combinations
 from typing import Literal
 
 from .canonical import canonical_form
-from .errors import MismatchedEndpoints
 from .extrat import INF, ZERO, ExtRat, rat
 from .homsearch import hom_set
 from .spaces import MetMap, Space, hom_dist, identity, subspace

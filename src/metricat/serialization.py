@@ -244,12 +244,15 @@ def loads(text: str) -> Any:
 
 
 def read_json(path: str) -> Any:
+    """Parse a JSON file; a SchemaError for a broken file names it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            text = fh.read()
+            return json.loads(fh.read())
         except UnicodeDecodeError as exc:
-            raise SchemaError(f"not UTF-8 text: {exc.reason}", "") from None
-    return loads(text)
+            raise SchemaError(f"not UTF-8 text in {path}: {exc.reason}", "") from None
+        except json.JSONDecodeError as exc:
+            raise SchemaError(
+                f"invalid JSON in {path}: {exc.msg} at line {exc.lineno}", "") from None
 
 
 def write_json(path: str, payload: Any) -> None:

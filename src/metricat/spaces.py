@@ -65,7 +65,7 @@ def _axiom_violations(dist, *, full: bool = True):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Space:
     """Immutable finite extended-metric space.
 
@@ -77,10 +77,18 @@ class Space:
     throughout the tests).  Loading a run directory decodes and fully
     validates each stage file once, and every map that refers to the stage
     shares that one Space.
+
+    Three caches are filled on first use and take no part in equality,
+    pickling or copying: the hash, the rank table (``ranks``) and the sphere
+    index (``spheres``) that the searches in :mod:`metricat.homsearch` read.
     """
 
     dist: tuple[tuple[ExtRat, ...], ...]
     labels: tuple[str, ...] | None = None
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    _values: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _rank: bytes | tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _spheres: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dist", tuple(tuple(row) for row in self.dist))
@@ -92,12 +100,50 @@ class Space:
         if bad:
             raise SpaceValidationError(bad)
 
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.dist, self.labels)))
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild rather than copy the caches: a label's hash differs
+        # between processes, so a cached hash must not travel.
+        return (Space, (self.dist, self.labels))
+
     @property
     def n(self) -> int:
         return len(self.dist)
 
     def d(self, i: int, j: int) -> ExtRat:
         return self.dist[i][j]
+
+    def ranks(self) -> tuple[tuple[ExtRat, ...], bytes | tuple[int, ...]]:
+        """``(values, rank)``: the sorted distinct distances, and the index
+        among them of each distance, row-major: ``rank[i * n + j]`` for
+        ``dist[i][j]``.  Ranks order exactly as the distances do.  ``rank``
+        is a bytes object when there are at most 256 values."""
+        if self._rank is None:
+            flat = tuple(itertools.chain.from_iterable(self.dist))
+            values = tuple(sorted(set(flat)))
+            index = {v: r for r, v in enumerate(values)}
+            rank = tuple(map(index.__getitem__, flat))
+            object.__setattr__(self, "_values", values)
+            object.__setattr__(self, "_rank", bytes(rank) if len(values) <= 256 else rank)
+        return self._values, self._rank
+
+    def spheres(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """``spheres()[p][r]``: the points at rank ``r`` from ``p``, ascending."""
+        if self._spheres is None:
+            values, rank = self.ranks()
+            n = self.n
+            table = []
+            for p in range(n):
+                sphere = [[] for _ in values]
+                for q in range(n):
+                    sphere[rank[p * n + q]].append(q)
+                table.append(tuple(map(tuple, sphere)))
+            object.__setattr__(self, "_spheres", tuple(table))
+        return self._spheres
 
     def assert_metric(self) -> "Space":
         """Full axiom check, triangle included.  Returns self."""
@@ -142,7 +188,7 @@ def two_point(eps) -> Space:
     return Space(((ZERO, e), (e, ZERO)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetMap:
     """A non-expansive map between spaces, stored as a point-index tuple."""
 
@@ -170,14 +216,27 @@ class MetMap:
                         f"{cd[fi][self.map[j]]} > {dd[i][j]}"
                     )
 
+    @classmethod
+    def _trusted(cls, dom: Space, cod: Space, map: tuple[int, ...]) -> "MetMap":
+        # Internal: a map that is non-expansive by construction; no checks.
+        self = object.__new__(cls)
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "map", map)
+        return self
+
     def __call__(self, i: int) -> int:
         return self.map[i]
 
     def then(self, g: "MetMap") -> "MetMap":
-        """Diagrammatic composition: (f.then(g))(x) = g(f(x))."""
+        """Diagrammatic composition: (f.then(g))(x) = g(f(x)).
+
+        A composite of non-expansive maps is non-expansive, so only the
+        endpoints are checked.
+        """
         if self.cod != g.dom:
             raise MismatchedEndpoints("composition endpoints do not match")
-        return MetMap(self.dom, g.cod, tuple(g.map[p] for p in self.map))
+        return MetMap._trusted(self.dom, g.cod, tuple(g.map[p] for p in self.map))
 
     def __repr__(self) -> str:
         return f"MetMap({self.dom.n}->{self.cod.n}, {self.map})"

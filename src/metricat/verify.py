@@ -15,7 +15,6 @@ from typing import Iterable
 
 from .budgets import NodeBudget
 from .colimits import EpsColimitResult, EpsCoequalizerResult, EpsPushoutResult, FinDiagram
-from .extrat import ExtRat
 from .homsearch import hom_set
 from .spaces import MetMap, Space, hom_dist
 

@@ -106,6 +106,27 @@ def hom_brute(dom: Space, cod: Space):
     return found
 
 
+def iso_brute(dom: Space, cod: Space):
+    """Every distance-preserving map dom -> cod, as sorted point tuples."""
+    return [
+        arr for arr in itertools.product(range(cod.n), repeat=dom.n)
+        if all(
+            cod.dist[arr[i]][arr[j]] == dom.dist[i][j]
+            for i in range(dom.n)
+            for j in range(i + 1, dom.n)
+        )
+    ]
+
+
+def fillers_brute(h, pinned):
+    """Every isometric v: cod(h) -> cod(pinned) with v(h(x)) = pinned(x),
+    as sorted point tuples."""
+    return [
+        arr for arr in iso_brute(h.cod, pinned.cod)
+        if all(arr[y] == k for y, k in zip(h.map, pinned.map))
+    ]
+
+
 class _UnionFind:
     def __init__(self, n):
         self.parent = list(range(n))

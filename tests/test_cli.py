@@ -325,6 +325,23 @@ class TestRunDirectoryErrors:
         assert "schema error" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("payload", [b"{oops", b"\xff\xfe"])
+    def test_broken_stage_file_is_named(self, tmp_path, payload):
+        run_dir = self._build(tmp_path, steps=3)
+        _replace("stages/K_003.json", payload)(run_dir)
+        result = invoke(["fraisse", "audit", run_dir])
+        assert result.exit_code == 2
+        assert "K_003.json" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_non_integer_node_budget_is_a_usage_error(self, tmp_path, monkeypatch):
+        run_dir = self._build(tmp_path)
+        monkeypatch.setenv("METRICAT_BUDGET_NODES", "x")
+        result = invoke(["fraisse", "audit", run_dir])
+        assert result.exit_code == 2
+        assert "METRICAT_BUDGET_NODES is not an integer" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_triangle_violation_in_a_stage_fails_the_audit(self, tmp_path):
         run_dir = self._build(tmp_path)
         dist = [["0" if i == j else "1" for j in range(4)] for i in range(4)]

@@ -6,21 +6,49 @@ from hypothesis import strategies as st
 
 from metricat.corpus import CorpusConfig, random_space
 from metricat.errors import BudgetExceeded
+from metricat.extrat import INF, rat
 from metricat.homsearch import (
     automorphisms,
+    clear_caches,
     hom_set,
     isometric_fillers,
     isometry_set,
 )
 from metricat.spaces import (
     MetMap,
+    Space,
+    _axiom_violations,
     empty_space,
     one_point,
+    subspace,
     two_point,
     validate_space,
 )
 
-from .oracles import hom_brute
+from .oracles import fillers_brute, hom_brute, iso_brute, random_symmetric_matrix
+
+VALUES = (rat("1/2"), rat(1), rat("3/2"), rat(2), INF)
+
+
+def _space(rng, n, values):
+    """A random space on n points with distances from values."""
+    while True:
+        dist = random_symmetric_matrix(rng, n, values)
+        if not _axiom_violations(dist):
+            return Space(tuple(dist))
+
+
+def _draw(rng, max_points=4):
+    """A space over a random subset of VALUES, so that distances of one
+    space are often missing from another."""
+    values = rng.sample(VALUES, rng.randint(1, len(VALUES)))
+    return _space(rng, rng.randint(0, max_points), values)
+
+
+def _inside(rng, space, max_points=4):
+    """A random subspace on at most max_points points, in random order, and
+    its inclusion."""
+    return subspace(space, rng.sample(range(space.n), rng.randint(0, min(space.n, max_points))))
 
 
 class TestHomSet:
@@ -58,6 +86,24 @@ class TestHomSet:
         with pytest.raises(BudgetExceeded):
             hom_set(big, big, max_nodes=3)
 
+    def test_cache_hit_is_charged_to_the_budget(self, monkeypatch):
+        big = validate_space([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
+        clear_caches()
+        monkeypatch.setenv("METRICAT_BUDGET_NODES", "10")
+        with pytest.raises(BudgetExceeded):
+            hom_set(big, big)
+        monkeypatch.delenv("METRICAT_BUDGET_NODES")
+        assert len(hom_set(big, big)) == 256
+        monkeypatch.setenv("METRICAT_BUDGET_NODES", "10")
+        with pytest.raises(BudgetExceeded):
+            hom_set(big, big)
+
+    @given(st.integers(0, 2**30))
+    def test_agrees_with_brute_enumeration_on_mixed_values(self, seed):
+        rng = random.Random(seed)
+        dom, cod = _draw(rng), _draw(rng)
+        assert [m.map for m in hom_set(dom, cod)] == hom_brute(dom, cod)
+
 
 class TestIsometrySet:
     def test_point_into_gap(self):
@@ -88,6 +134,16 @@ class TestIsometrySet:
             )
         ]
         assert [m.map for m in isometry_set(dom, cod)] == exact
+
+    @given(st.integers(0, 2**30))
+    def test_agrees_with_brute_enumeration_on_mixed_values(self, seed):
+        rng = random.Random(seed)
+        cod = _draw(rng, 5)
+        dom = _draw(rng) if rng.random() < 0.5 else _inside(rng, cod)[0]
+        assert [m.map for m in isometry_set(dom, cod)] == iso_brute(dom, cod)
+        if rng.random() < 0.5:
+            cod = dom
+        assert [m.map for m in automorphisms(cod)] == iso_brute(cod, cod)
 
 
 class TestIsometricFillers:
@@ -129,3 +185,26 @@ class TestIsometricFillers:
                 for pinned in isometry_set(X, K):
                     for v in isometric_fillers(h, pinned):
                         assert h.then(v).map == pinned.map
+
+    @given(st.integers(0, 2**30))
+    def test_agrees_with_brute_enumeration(self, seed):
+        # Either h and pinned are any non-expansive maps (a non-injective h
+        # often pins one point of Y to two points of K, and then nothing
+        # fills), or Y sits inside K and pinned factors through an isometry.
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            X, Y, K = _draw(rng, 2), _draw(rng, 4), _draw(rng, 5)
+            homs_y, homs_k = hom_brute(X, Y), hom_brute(X, K)
+            if not homs_y or not homs_k:
+                return
+            h = MetMap(X, Y, rng.choice(homs_y))
+            pinned = MetMap(X, K, rng.choice(homs_k))
+        else:
+            K = _draw(rng, 5)
+            Y = _inside(rng, K)[0]
+            X, h = _inside(rng, Y, 2)
+            pinned = h.then(MetMap(Y, K, rng.choice(iso_brute(Y, K))))
+        expected = fillers_brute(h, pinned)
+        assert [v.map for v in isometric_fillers(h, pinned)] == expected
+        first = isometric_fillers(h, pinned, first_only=True)
+        assert [v.map for v in first] == expected[:1]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -12,7 +14,7 @@ from metricat.errors import (
     SpaceValidationError,
 )
 from metricat.extrat import INF, ZERO, rat
-from metricat.homsearch import hom_set
+from metricat.homsearch import automorphisms, hom_set
 from metricat.spaces import (
     MetMap,
     Space,
@@ -144,6 +146,28 @@ class TestMetMap:
         g = identity(two_point(2))
         with pytest.raises(MismatchedEndpoints):
             f.then(g)
+
+
+class TestCaches:
+    def test_warm_space_survives_pickle_and_deepcopy(self):
+        sp = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]], labels=("a", "b", "c"))
+        flip = automorphisms(sp)[-1]  # fills the rank table and the sphere index
+        key = hash(sp)
+        assert pickle.dumps(sp) == pickle.dumps(Space(sp.dist, sp.labels))
+        for clone in (pickle.loads(pickle.dumps(sp)), copy.deepcopy(sp)):
+            assert clone == sp
+            assert hash(clone) == key
+            assert clone.ranks() == sp.ranks()
+            assert clone.spheres() == sp.spheres()
+        assert pickle.loads(pickle.dumps(flip)) == flip
+        assert copy.deepcopy(flip) == flip
+
+    def test_rank_table_and_spheres(self):
+        sp = validate_space([[0, 2, "inf"], [2, 0, "inf"], ["inf", "inf", 0]])
+        values, rank = sp.ranks()
+        assert values == (ZERO, rat(2), INF)
+        assert tuple(rank) == (0, 1, 2, 1, 0, 2, 2, 2, 0)
+        assert sp.spheres()[2] == ((2,), (), (0, 1))
 
 
 class TestHomDist:
