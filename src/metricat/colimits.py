@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budgets import DEFAULT_STAGE_POINT_BUDGET
-from .errors import BudgetExceeded, MismatchedEndpoints
+from .errors import BudgetExceeded, InvalidMorphism, MismatchedEndpoints
 from .extrat import ZERO, ExtRat, rat
 from .reflect import Reflection, Semimetric, reflect
 from .spaces import MetMap, Space, coproduct, hom_dist
@@ -153,7 +153,7 @@ def comparison(diagram: FinDiagram, eps, delta) -> MetMap:
             if arr[p_e] == -1:
                 arr[p_e] = p_d
             elif arr[p_e] != p_d:
-                raise AssertionError("comparison map is not well defined")
+                raise InvalidMorphism("comparison map is not well defined")
     return MetMap(src.apex, dst.apex, tuple(arr))
 
 

@@ -1,6 +1,7 @@
 """Enumeration of hom-sets, isometry sets and isometric fillers.
 
-One pruned backtracking kernel serves all three.  It assigns the domain
+One pruned backtracking kernel serves all three, and the verifiers'
+search for mediators over free apex points.  It assigns the domain
 points in order, so maps come out in lexicographic order of their index
 tuples.  It compares integer ranks (``Space.ranks``), never ExtRat values:
 each domain distance becomes the codomain rank that its image pair must
@@ -12,11 +13,16 @@ Each candidate tried costs one budget node, whether it came from the index
 or from the whole codomain.  A cached hom-set or isometry set keeps the
 nodes its search spent and a cache hit charges them again, so a budget's
 outcome does not depend on the cache; calls with ``max_nodes`` bypass it.
+The translation of a pair's distances into ranks is memoized per
+(domain, codomain, relation) in a bounded LRU for the searches whose
+results are not cached: filler searches and calls with ``max_nodes``.
+Mediator searches bypass it, as their apex lives for one verification.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from itertools import islice
 
 from .budgets import NodeBudget
@@ -31,9 +37,11 @@ _iso_cache: _Cache = {}
 def clear_caches() -> None:
     _hom_cache.clear()
     _iso_cache.clear()
+    _required.cache_clear()
 
 
-def _required(dom: Space, cod: Space, exact: bool) -> list[list[int]]:
+@lru_cache(maxsize=256)
+def _required(dom: Space, cod: Space, exact: bool) -> tuple[tuple[int, ...], ...]:
     """dom's distances as cod ranks: the rank an image pair must equal
     (``exact``; -1 where cod has no such distance) or not exceed."""
     values, _ = cod.ranks()
@@ -43,13 +51,15 @@ def _required(dom: Space, cod: Space, exact: bool) -> list[list[int]]:
         to = [r if r < len(values) and values[r] == v else -1 for r, v in zip(to, dvalues)]
     else:
         to = [bisect_right(values, v) - 1 for v in dvalues]
-    return [[to[r] for r in drank[i:i + dom.n]] for i in range(0, len(drank), dom.n)]
+    return tuple(tuple(to[r] for r in drank[i:i + dom.n]) for i in range(0, len(drank), dom.n))
 
 
-def _search(dom: Space, cod: Space, exact: bool, budget: NodeBudget, forced=None):
+def _search(dom: Space, cod: Space, exact: bool, budget: NodeBudget, forced=None,
+            memo: bool = True):
     """Index tuples of the maps dom -> cod, lexicographically ordered.
 
-    ``forced`` maps points of dom to the only image they may take.
+    ``forced`` maps points of dom to the only image they may take.  With
+    ``memo`` false the rank translation bypasses its memo.
     """
     n, m = dom.n, cod.n
     if n == 0:
@@ -57,7 +67,7 @@ def _search(dom: Space, cod: Space, exact: bool, budget: NodeBudget, forced=None
         return
     if m == 0:
         return
-    req = _required(dom, cod, exact)
+    req = (_required if memo else _required.__wrapped__)(dom, cod, exact)
     rank = cod.ranks()[1]
     forced = forced or {}
     everywhere = range(m)
@@ -106,7 +116,9 @@ def _enumerate(cache: _Cache, dom: Space, cod: Space, exact: bool,
     if hit is not None:
         budget.spend(hit[1])
         return hit[0]
-    maps = _wrap(dom, cod, _search(dom, cod, exact, budget))
+    # A result that goes into the cache is searched for once: its rank
+    # translation would never be looked up again.
+    maps = _wrap(dom, cod, _search(dom, cod, exact, budget, memo=max_nodes is not None))
     if max_nodes is None:
         cache[(dom, cod)] = (maps, budget.used)
     return maps

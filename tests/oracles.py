@@ -127,6 +127,48 @@ def fillers_brute(h, pinned):
     ]
 
 
+def verify_brute(apex, legs, eps, objects, bridges, targets):
+    """The universal property of a claimed colimit, by plain enumeration.
+
+    A cocone into a target T is one map per object (from ``hom_brute``, the
+    objects varying lexicographically, last fastest) with
+    ``d_T(c_i(x), c_j(y)) <= eps`` for every bridge ``(i, x, j, y)``; a
+    mediator is a non-expansive apex -> T map with ``med(legs[i][x]) ==
+    c_i(x)``, found among every choice of image per apex point.  Returns
+    ``(ok, checked, kind, cone, mediators)`` with the maps as point tuples:
+    the legs as the cone for a failed square, otherwise the first cocone
+    without exactly one mediator, and all its mediators.  A verify_pushout
+    of (f, g) is the objects (B, C) with the bridges (0, f(a), 1, g(a)), a
+    verify_coequalizer the object B with (0, f(a), 0, g(a)), and a
+    verify_colimit the diagram's objects with (i, x, j, m(x)) per arrow.
+    """
+    def within(space, maps):
+        return all(space.dist[maps[i][x]][maps[j][y]] <= eps for i, x, j, y in bridges)
+
+    if not within(apex, legs):
+        return False, 0, "square", tuple(legs), ()
+    checked = 0
+    for target in targets:
+        homs = [hom_brute(obj, target) for obj in objects]
+        for cone in itertools.product(*homs):
+            if not within(target, cone):
+                continue
+            checked += 1
+            choices = [set(range(target.n)) for _ in range(apex.n)]
+            for leg, c in zip(legs, cone):
+                for x, p in enumerate(leg):
+                    choices[p] &= {c[x]}
+            mediators = tuple(
+                arr for arr in itertools.product(*map(sorted, choices))
+                if all(target.dist[arr[p]][arr[q]] <= apex.dist[p][q]
+                       for p in range(apex.n) for q in range(apex.n))
+            )
+            if len(mediators) != 1:
+                kind = "uniqueness" if mediators else "existence"
+                return False, checked, kind, tuple(cone), mediators
+    return True, checked, None, None, None
+
+
 class _UnionFind:
     def __init__(self, n):
         self.parent = list(range(n))

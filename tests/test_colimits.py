@@ -1,11 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metricat import colimits
 from metricat.canonical import are_isomorphic, canonical_form
 from metricat.colimits import (
+    EpsCoequalizerResult,
+    EpsColimitResult,
     EpsPushoutResult,
     FinDiagram,
     comparison,
@@ -23,11 +26,12 @@ from metricat.corpus import (
     random_span,
     random_space,
 )
-from metricat.errors import BudgetExceeded, MismatchedEndpoints
-from metricat.extrat import INF, ZERO, rat
+from metricat.errors import BudgetExceeded, InvalidMorphism, MetricatError, MismatchedEndpoints
+from metricat.extrat import INF, ZERO, ExtRat, rat
 from metricat.homsearch import hom_set
 from metricat.spaces import (
     MetMap,
+    Space,
     coproduct,
     empty_space,
     hom_dist,
@@ -39,7 +43,7 @@ from metricat.spaces import (
 )
 from metricat.verify import verify_coequalizer, verify_colimit, verify_pushout
 
-from .oracles import ordinary_colimit_oracle
+from .oracles import ordinary_colimit_oracle, verify_brute
 
 EPS_VALUES = (ZERO, rat("1/2"), rat(1), INF)
 
@@ -231,6 +235,17 @@ class TestComparison:
         with pytest.raises(ValueError):
             comparison(diagram, 0, 1)
 
+    def test_inconsistent_legs_raise_a_typed_error(self, monkeypatch):
+        p = one_point()
+        diagram = FinDiagram((p, p), ())
+        apart = eps_colimit(diagram, 0)
+        glued = EpsColimitResult(p, (identity(p), identity(p)), rat(1))
+        monkeypatch.setattr(colimits, "eps_colimit",
+                            lambda d, e, **kw: glued if e == rat(1) else apart)
+        with pytest.raises(InvalidMorphism, match="not well defined") as info:
+            comparison(diagram, 1, 0)
+        assert isinstance(info.value, MetricatError)
+
     def test_inf_to_zero_is_the_quotient(self):
         f = MetMap(one_point(), two_point(1), (0,))
         g = MetMap(one_point(), two_point(2), (0,))
@@ -359,6 +374,9 @@ class TestVerify:
         report = verify_pushout(bad, f, g, small_targets())
         assert not report.ok
         assert report.counterexample.kind == "square"
+        assert _as_brute(report) == verify_brute(
+            cop.space, [m.map for m in cop.injections], rat(1), (f.cod, g.cod),
+            [(0, 0, 1, 0)], small_targets())
 
     def test_overtight_apex_fails_existence(self):
         p = one_point()
@@ -373,3 +391,125 @@ class TestVerify:
                                 small_targets(two_point(1)))
         assert not report.ok
         assert report.counterexample.kind == "existence"
+
+
+def _as_brute(report):
+    """A VerifyReport in the shape ``verify_brute`` returns."""
+    cx = report.counterexample
+    if cx is None:
+        return report.ok, report.checked, None, None, None
+    return (report.ok, report.checked, cx.kind,
+            tuple(m.map for m in cx.cone), tuple(m.map for m in cx.mediators))
+
+
+def _half(d: ExtRat) -> ExtRat:
+    return d if d.is_infinite else ExtRat(d.numerator, 2 * d.denominator)
+
+
+def _candidates(apex, legs):
+    """The claimed apex with its legs, then three corruptions of it: an
+    extra point at infinite distance ("floating"), every distance halved
+    ("distorted"), and the apex collapsed to one point, which a cocone that
+    separates two points pins to two values ("collapsed")."""
+    yield "claimed", apex, legs
+    padded = coproduct((apex, one_point()))
+    yield "floating", padded.space, [leg.then(padded.injections[0]) for leg in legs]
+    halved = Space(tuple(tuple(map(_half, row)) for row in apex.dist))
+    yield "distorted", halved, [MetMap(leg.dom, halved, leg.map) for leg in legs]
+    point = one_point()
+    yield "collapsed", point, [MetMap(leg.dom, point, (0,) * leg.dom.n) for leg in legs]
+
+
+def _check_against_brute(name, claimed, apex, legs, eps, objects, bridges, targets, report):
+    got = _as_brute(report)
+    assert got == verify_brute(apex, [leg.map for leg in legs], eps, objects, bridges, targets)
+    if name == "claimed":
+        assert got[0], got
+    elif name == "floating":
+        assert got[2] == "uniqueness", got
+    elif name == "distorted" and claimed in targets and any(
+            ZERO < d < INF for row in claimed.dist for d in row):
+        # The claimed legs into the claimed apex form a cocone whose only
+        # candidate mediator, the identity on points, now expands.
+        assert got[2] == "existence", got
+
+
+def _small(*spaces):
+    return [t for t in spaces + (one_point(), two_point(1)) if t.n <= 4]
+
+
+class TestVerifyMatchesBrute:
+    """All three verifiers against ``oracles.verify_brute``: reports,
+    counterexamples and mediators, on corpus inputs with at most 4 points
+    per object and on three corruptions of each claimed colimit."""
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**30), st.sampled_from(EPS_VALUES))
+    def test_pushout(self, seed, eps):
+        f, g = random_span(random.Random(seed), CorpusConfig(max_points=4))
+        res = eps_pushout(f, g, eps)
+        bridges = [(0, f.map[a], 1, g.map[a]) for a in range(f.dom.n)]
+        for name, apex, (leg_g, leg_f) in _candidates(res.apex, (res.leg_g, res.leg_f)):
+            targets = _small(res.apex, f.cod, g.cod)
+            report = verify_pushout(EpsPushoutResult(apex, leg_f, leg_g, res.eps), f, g, targets)
+            _check_against_brute(name, res.apex, apex, (leg_g, leg_f), res.eps,
+                                 (f.cod, g.cod), bridges, targets, report)
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**30), st.sampled_from(EPS_VALUES))
+    def test_coequalizer(self, seed, eps):
+        f, g = random_parallel_pair(random.Random(seed), CorpusConfig(max_points=4))
+        res = eps_coequalizer(f, g, eps)
+        bridges = [(0, f.map[a], 0, g.map[a]) for a in range(f.dom.n)]
+        for name, apex, (leg,) in _candidates(res.apex, (res.leg,)):
+            targets = _small(res.apex, f.cod)
+            report = verify_coequalizer(EpsCoequalizerResult(apex, leg, res.eps), f, g, targets)
+            _check_against_brute(name, res.apex, apex, (leg,), res.eps,
+                                 (f.cod,), bridges, targets, report)
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**30), st.sampled_from(EPS_VALUES))
+    def test_colimit(self, seed, eps):
+        rng = random.Random(seed)
+        diagram = random_diagram(rng, CorpusConfig(max_points=4))
+        while sum(o.n for o in diagram.objects) > 6:
+            diagram = random_diagram(rng, CorpusConfig(max_points=4))
+        res = eps_colimit(diagram, eps)
+        bridges = [(i, x, j, m.map[x]) for i, j, m in diagram.arrows for x in range(m.dom.n)]
+        for name, apex, legs in _candidates(res.apex, res.legs):
+            targets = _small(res.apex)
+            report = verify_colimit(EpsColimitResult(apex, tuple(legs), res.eps), diagram, targets)
+            _check_against_brute(name, res.apex, apex, legs, res.eps,
+                                 diagram.objects, bridges, targets, report)
+
+    def test_node_charge_with_free_apex_points(self):
+        # Two apex points no leg reaches: each mediator search charges
+        # 1 + m + m^2 nodes into an m-point target, pruned or not.  Into the
+        # point (one cospan, 3 nodes), then the first cospan into the path
+        # (13 nodes): 16 in all.
+        path = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        f = MetMap(one_point(), two_point(1), (0,))
+        g = MetMap(one_point(), path, (1,))
+        res = eps_pushout(f, g, "1/2")
+        padded = coproduct((res.apex, one_point(), one_point()))
+        inj = padded.injections[0]
+        bad = EpsPushoutResult(padded.space, res.leg_f.then(inj), res.leg_g.then(inj), res.eps)
+        targets = [one_point(), path]
+        report = verify_pushout(bad, f, g, targets, max_nodes=16)
+        assert report.checked == 2
+        assert report.counterexample.kind == "uniqueness"
+        assert len(report.counterexample.mediators) == 9
+        with pytest.raises(BudgetExceeded):
+            verify_pushout(bad, f, g, targets, max_nodes=15)
+
+    def test_no_charge_without_candidates(self):
+        # Free apex points and an empty target: no candidate image, so the
+        # mediator search is not started and charges nothing.
+        e = empty_space()
+        f = g = identity(e)
+        res = eps_pushout(f, g, 1)
+        padded = coproduct((res.apex, one_point()))
+        bad = EpsPushoutResult(padded.space, res.leg_f.then(padded.injections[0]),
+                               res.leg_g.then(padded.injections[0]), res.eps)
+        report = verify_pushout(bad, f, g, [e], max_nodes=0)
+        assert (report.checked, report.counterexample.kind) == (1, "existence")
