@@ -2,6 +2,9 @@
 
 Exit codes: 0 success/pass, 1 property failure or counterexample,
 2 usage or schema error, 3 budget exceeded.
+
+Each command imports the modules it runs inside its body, so start-up
+loads only click and the package's error, number and budget modules.
 """
 
 from __future__ import annotations
@@ -13,31 +16,8 @@ import time
 import click
 
 from .budgets import DEFAULT_SPAN_BUDGET, DEFAULT_STAGE_POINT_BUDGET, node_ceiling
-from .canonical import canonical_form
-from .colimits import eps_coequalizer, eps_colimit, eps_pushout
-from .corpus import CorpusConfig
 from .errors import BudgetExceeded, MetricatError, SchemaError, SpaceValidationError
-from .extrat import ExtRat, rat
-from .fraisse import (
-    DistanceGrid, POLICIES, audit_saturation, build_chain, enumerate_spaces,
-)
-from .injectivity import (
-    TestFamily, is_eps_injective, is_eps_mono, is_eps_split, purity,
-)
-from .laws import law_harness, law_report_to_json
-from .rundir import (
-    audit_to_json, load_chain, make_manifest, rebuild_catalog, write_audit,
-    write_chain,
-)
-from .serialization import (
-    diagram_from_json, dumps_canonical, family_from_json, map_from_json,
-    map_to_json, pair_from_json, read_json, space_from_json, space_to_json,
-    write_json,
-)
-from .spaces import MetMap, one_point, two_point
-from .verify import (
-    VerifyReport, verify_coequalizer, verify_colimit, verify_pushout,
-)
+from .extrat import ZERO, ExtRat, rat
 
 
 class RatParam(click.ParamType):
@@ -60,13 +40,30 @@ class GridParam(click.ParamType):
             values = tuple(rat(part.strip()) for part in str(value).split(",") if part.strip())
             if not values:
                 raise ValueError("empty grid")
+            if ZERO in values:
+                raise ValueError("grid distances must be positive")
             return values
         except (ValueError, TypeError) as exc:
             self.fail(str(exc), param, ctx)
 
 
+class PolicyChoice(click.Choice):
+    """The span policies of :data:`metricat.fraisse.POLICIES`, looked up
+    only when ``fraisse build`` parses its arguments or prints its help."""
+
+    def __init__(self):
+        self.case_sensitive = True
+
+    @property
+    def choices(self):
+        from .fraisse import POLICIES
+
+        return tuple(sorted(POLICIES))
+
+
 RAT = RatParam()
 GRID = GridParam()
+COUNT = click.IntRange(min=0)
 
 
 def guarded(fn):
@@ -91,6 +88,8 @@ def guarded(fn):
 
 
 def _emit(payload: dict, out: str | None) -> None:
+    from .serialization import dumps_canonical, write_json
+
     if out:
         write_json(out, payload)
     else:
@@ -114,6 +113,8 @@ def space():
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @guarded
 def space_validate(file):
+    from .serialization import read_json, space_from_json
+
     warnings: list[str] = []
     try:
         sp = space_from_json(read_json(file), warnings=warnings)
@@ -132,6 +133,9 @@ def space_validate(file):
 @click.option("--budget-nodes", type=int, default=None)
 @guarded
 def space_canon(file, out, budget_nodes):
+    from .canonical import canonical_form
+    from .serialization import read_json, space_from_json, space_to_json
+
     sp = space_from_json(read_json(file))
     result = canonical_form(sp, max_nodes=node_ceiling(budget_nodes))
     _emit({"space": space_to_json(result.space), "order": list(result.order)}, out)
@@ -142,13 +146,17 @@ def space_canon(file, out, budget_nodes):
 
 def _default_targets(*spaces):
     """Verification targets: the construction's own pieces plus tiny probes."""
+    from .spaces import one_point, two_point
+
     out = list(spaces)
     out.append(one_point())
     out.append(two_point(rat(1)))
     return out
 
 
-def _verify_json(report: VerifyReport) -> dict:
+def _verify_json(report) -> dict:
+    from .serialization import map_to_json, space_to_json
+
     doc: dict = {"ok": report.ok, "checked": report.checked, "counterexample": None}
     ce = report.counterexample
     if ce is not None:
@@ -174,6 +182,9 @@ def colimit():
 @click.option("--budget-nodes", type=int, default=None)
 @guarded
 def colimit_pushout(eps, infile, out, verify, budget_nodes):
+    from .colimits import eps_pushout
+    from .serialization import map_to_json, pair_from_json, read_json, space_to_json
+
     f, g = pair_from_json(read_json(infile))
     result = eps_pushout(f, g, eps)
     payload = {
@@ -184,6 +195,8 @@ def colimit_pushout(eps, infile, out, verify, budget_nodes):
     }
     code = 0
     if verify:
+        from .verify import verify_pushout
+
         report = verify_pushout(result, f, g,
                                 _default_targets(result.apex, f.cod, g.cod),
                                 max_nodes=node_ceiling(budget_nodes))
@@ -201,6 +214,10 @@ def colimit_pushout(eps, infile, out, verify, budget_nodes):
 @click.option("--budget-nodes", type=int, default=None)
 @guarded
 def colimit_coequalizer(eps, infile, out, verify, budget_nodes):
+    from .colimits import eps_coequalizer
+    from .serialization import map_to_json, pair_from_json, read_json, space_to_json
+    from .spaces import MetMap
+
     f, g = pair_from_json(read_json(infile))
     if f.cod.dist != g.cod.dist:
         raise SchemaError("parallel pair must share its codomain", "/g/cod")
@@ -214,6 +231,8 @@ def colimit_coequalizer(eps, infile, out, verify, budget_nodes):
     }
     code = 0
     if verify:
+        from .verify import verify_coequalizer
+
         report = verify_coequalizer(result, f, g,
                                     _default_targets(result.apex, f.cod),
                                     max_nodes=node_ceiling(budget_nodes))
@@ -232,6 +251,9 @@ def colimit_coequalizer(eps, infile, out, verify, budget_nodes):
 @click.option("--budget-nodes", type=int, default=None)
 @guarded
 def colimit_diagram(eps, infile, out, verify, budget_points, budget_nodes):
+    from .colimits import eps_colimit
+    from .serialization import diagram_from_json, map_to_json, read_json, space_to_json
+
     diagram = diagram_from_json(read_json(infile))
     result = eps_colimit(diagram, eps, max_points=budget_points)
     payload = {
@@ -241,6 +263,8 @@ def colimit_diagram(eps, infile, out, verify, budget_points, budget_nodes):
     }
     code = 0
     if verify:
+        from .verify import verify_colimit
+
         report = verify_colimit(result, diagram,
                                 _default_targets(result.apex),
                                 max_nodes=node_ceiling(budget_nodes))
@@ -257,9 +281,12 @@ def check():
     """Injectivity, splitness, purity, and mono testers."""
 
 
-def _load_family(path: str | None) -> TestFamily | None:
+def _load_family(path: str | None):
     if path is None:
         return None
+    from .injectivity import TestFamily
+    from .serialization import family_from_json, read_json
+
     return TestFamily.of(family_from_json(read_json(path)))
 
 
@@ -273,6 +300,9 @@ def _load_family(path: str | None) -> TestFamily | None:
 @click.option("--budget-nodes", type=int, default=None)
 @guarded
 def check_injective(eps, subject, infile, out, budget_nodes):
+    from .injectivity import is_eps_injective
+    from .serialization import map_from_json, map_to_json, read_json, space_from_json
+
     K = space_from_json(read_json(subject))
     f = map_from_json(read_json(infile))
     ok, witness = is_eps_injective(K, f, eps, max_nodes=node_ceiling(budget_nodes))
@@ -293,6 +323,9 @@ def check_injective(eps, subject, infile, out, budget_nodes):
 @click.option("--budget-nodes", type=int, default=None)
 @guarded
 def check_split(eps, infile, out, budget_nodes):
+    from .injectivity import is_eps_split
+    from .serialization import map_from_json, map_to_json, read_json
+
     f = map_from_json(read_json(infile))
     ok, retraction = is_eps_split(f, eps, max_nodes=node_ceiling(budget_nodes))
     payload = {
@@ -314,6 +347,9 @@ def check_split(eps, infile, out, budget_nodes):
 @click.option("--budget-nodes", type=int, default=None)
 @guarded
 def check_pure(eps, variant, family, infile, out, budget_nodes):
+    from .injectivity import purity
+    from .serialization import map_from_json, map_to_json, read_json, space_to_json
+
     f = map_from_json(read_json(infile))
     fam = _load_family(family)
     ok, square = purity(f, eps, variant, fam, max_nodes=node_ceiling(budget_nodes))
@@ -343,6 +379,9 @@ def check_pure(eps, variant, family, infile, out, budget_nodes):
 @click.option("--budget-nodes", type=int, default=None)
 @guarded
 def check_mono(eps, family, infile, out, budget_nodes):
+    from .injectivity import is_eps_mono
+    from .serialization import map_from_json, map_to_json, read_json, space_to_json
+
     f = map_from_json(read_json(infile))
     fam = _load_family(family)
     ok, witness = is_eps_mono(f, eps, fam, max_nodes=node_ceiling(budget_nodes))
@@ -369,13 +408,16 @@ def laws():
 
 @laws.command("run")
 @click.option("--seed", type=int, default=0)
-@click.option("--trials", type=int, default=40)
-@click.option("--budget", "max_points", type=int, default=4,
+@click.option("--trials", type=COUNT, default=40)
+@click.option("--budget", "max_points", type=COUNT, default=4,
               help="Maximum points per corpus space.")
 @click.option("--workers", type=int, default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @guarded
 def laws_run(seed, trials, max_points, workers, out):
+    from .corpus import CorpusConfig
+    from .laws import law_harness, law_report_to_json
+
     cfg = CorpusConfig(max_points=max_points)
     report = law_harness(cfg, seed=seed, trials=trials, workers=workers)
     _emit(law_report_to_json(report), out)
@@ -391,11 +433,14 @@ def fraisse():
 
 @fraisse.command("enumerate")
 @click.option("--grid", type=GRID, required=True)
-@click.option("--max-size", type=int, required=True)
+@click.option("--max-size", type=COUNT, required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--budget-nodes", type=int, default=None)
 @guarded
 def fraisse_enumerate(grid, max_size, out, budget_nodes):
+    from .fraisse import DistanceGrid, enumerate_spaces
+    from .serialization import space_to_json
+
     dgrid = DistanceGrid(grid, max_size)
     spaces = enumerate_spaces(dgrid, max_nodes=node_ceiling(budget_nodes))
     payload = {
@@ -409,10 +454,10 @@ def fraisse_enumerate(grid, max_size, out, budget_nodes):
 
 @fraisse.command("build")
 @click.option("--grid", type=GRID, required=True)
-@click.option("--steps", type=int, required=True)
-@click.option("--max-size", type=int, default=None,
+@click.option("--steps", type=COUNT, required=True)
+@click.option("--max-size", type=COUNT, default=None,
               help="Catalog size cap; defaults to steps.")
-@click.option("--policy", type=click.Choice(sorted(POLICIES)), default="iso-skip")
+@click.option("--policy", type=PolicyChoice(), default="iso-skip")
 @click.option("--seed", type=int, default=0)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 @click.option("--budget-points", type=int, default=DEFAULT_STAGE_POINT_BUDGET)
@@ -420,6 +465,9 @@ def fraisse_enumerate(grid, max_size, out, budget_nodes):
 @guarded
 def fraisse_build(grid, steps, max_size, policy, seed, out_dir, budget_points,
                   budget_nodes):
+    from .fraisse import POLICIES, DistanceGrid, build_chain
+    from .rundir import make_manifest, write_chain
+
     dgrid = DistanceGrid(grid, max_size if max_size is not None else max(steps, 1))
     started = time.monotonic()
     budgets = {
@@ -456,6 +504,10 @@ def fraisse_build(grid, steps, max_size, policy, seed, out_dir, budget_points,
 @click.option("--budget-nodes", type=int, default=None)
 @guarded
 def fraisse_audit(run_dir, budget_nodes):
+    from .fraisse import audit_saturation
+    from .rundir import audit_to_json, load_chain, rebuild_catalog, write_audit
+    from .serialization import dumps_canonical
+
     run = load_chain(run_dir)
     catalog = rebuild_catalog(run.grid)
     report = audit_saturation(run.stages, catalog,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budgets import DEFAULT_STAGE_POINT_BUDGET
-from .errors import BudgetExceeded, InvalidMorphism, MismatchedEndpoints
+from .errors import BudgetExceeded, InvalidMorphism, MismatchedEndpoints, UsageError
 from .extrat import ZERO, ExtRat, rat
 from .reflect import Reflection, Semimetric, reflect
 from .spaces import MetMap, Space, coproduct, hom_dist
@@ -144,7 +144,7 @@ def comparison(diagram: FinDiagram, eps, delta) -> MetMap:
     """Canonical morphism colim_eps -> colim_delta for delta <= eps."""
     e, d = rat(eps), rat(delta)
     if d > e:
-        raise ValueError("comparison runs from the looser tolerance to the tighter")
+        raise UsageError("comparison runs from the looser tolerance to the tighter")
     src = eps_colimit(diagram, e)
     dst = eps_colimit(diagram, d)
     arr = [-1] * src.apex.n

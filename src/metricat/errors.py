@@ -41,9 +41,10 @@ class MismatchedEndpoints(MetricatError):
     """Operands do not share the required domain/codomain."""
 
 
-class UsageError(MetricatError):
+class UsageError(MetricatError, ValueError):
     """A setting or argument the package cannot use, such as a malformed
-    environment variable."""
+    environment variable, an empty distance grid or an unknown variant.
+    It is a ValueError too, so callers that catch ValueError still do."""
 
 
 class BudgetExceeded(MetricatError):

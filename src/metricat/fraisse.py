@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .budgets import DEFAULT_SPAN_BUDGET, DEFAULT_STAGE_POINT_BUDGET, NodeBudget
 from .canonical import canonical_form
 from .colimits import pushout
-from .errors import BudgetExceeded, MetricatError, MismatchedEndpoints
+from .errors import BudgetExceeded, MetricatError, MismatchedEndpoints, UsageError
 from .extrat import ZERO, ExtRat, rat
 from .homsearch import automorphisms, hom_set, isometric_fillers, isometry_set
 from .spaces import (
@@ -41,11 +41,11 @@ class DistanceGrid:
     def __post_init__(self):
         vals = tuple(sorted({rat(v) for v in self.values}))
         if any(v == ZERO for v in vals):
-            raise ValueError("grid distances must be positive")
+            raise UsageError("grid distances must be positive")
         if not vals:
-            raise ValueError("grid must not be empty")
+            raise UsageError("grid must not be empty")
         if self.max_size < 0:
-            raise ValueError("max_size must be nonnegative")
+            raise UsageError("max_size must be nonnegative")
         object.__setattr__(self, "values", vals)
 
 

@@ -12,6 +12,7 @@ from itertools import combinations
 from typing import Literal
 
 from .canonical import canonical_form
+from .errors import UsageError
 from .extrat import INF, ZERO, ExtRat, rat
 from .homsearch import hom_set
 from .spaces import MetMap, Space, hom_dist, identity, subspace
@@ -204,7 +205,7 @@ def purity(f: MetMap, eps, variant: PurityVariant = "pure",
     bare: exactly commuting squares get fillers within eps.
     """
     if variant not in ("pure", "weak", "bare"):
-        raise ValueError(f"unknown purity variant: {variant!r}")
+        raise UsageError(f"unknown purity variant: {variant!r}")
     e = rat(eps)
     bound = 2 * e if variant == "weak" else e
     K, L = f.dom, f.cod

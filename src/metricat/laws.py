@@ -13,7 +13,6 @@ worker count or scheduling.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -538,6 +537,8 @@ def law_harness(cfg: CorpusConfig | None = None, seed: int = 0,
     ids = sorted(LAWS)
     jobs = [(law_id, seed, trials, config) for law_id in ids]
     if workers is not None and workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_law_star, jobs))
     else:

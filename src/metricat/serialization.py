@@ -12,12 +12,14 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from .colimits import FinDiagram
 from .errors import SchemaError
 from .extrat import ExtRat
 from .spaces import MetMap, Space
+
+if TYPE_CHECKING:
+    from .colimits import FinDiagram
 
 
 # ---------------------------------------------------------------- primitives
@@ -92,11 +94,20 @@ def space_from_json(node: Any, pointer: str = "", warnings: list[str] | None = N
     if len(rows) != n:
         raise SchemaError(f"dist has {len(rows)} rows, expected {n}", f"{pointer}/dist")
     matrix = []
+    canonical: dict[str, ExtRat] = {}  # canonical literals parsed so far
     for i, row in enumerate(rows):
         row = _expect_list(row, f"{pointer}/dist/{i}")
         if len(row) != n:
             raise SchemaError(f"row has {len(row)} entries, expected {n}", f"{pointer}/dist/{i}")
-        matrix.append([rat_from_json(v, f"{pointer}/dist/{i}/{j}", w) for j, v in enumerate(row)])
+        values = []
+        for j, v in enumerate(row):
+            value = canonical.get(v) if type(v) is str else None
+            if value is None:
+                value = rat_from_json(v, f"{pointer}/dist/{i}/{j}", w)
+                if type(v) is str and str(value) == v:
+                    canonical[v] = value
+            values.append(value)
+        matrix.append(tuple(values))
     labels = None
     if "labels" in obj:
         raw = _expect_list(obj["labels"], f"{pointer}/labels")
@@ -106,7 +117,7 @@ def space_from_json(node: Any, pointer: str = "", warnings: list[str] | None = N
             if not isinstance(name, str):
                 raise SchemaError("labels must be strings", f"{pointer}/labels/{i}")
         labels = tuple(raw)
-    return Space(tuple(tuple(r) for r in matrix), labels).assert_metric()
+    return Space._validated(tuple(matrix), labels)
 
 
 # ------------------------------------------------------------------ morphism
@@ -185,6 +196,8 @@ def diagram_to_json(diagram: FinDiagram) -> dict:
 
 def diagram_from_json(node: Any, pointer: str = "",
                       warnings: list[str] | None = None) -> FinDiagram:
+    from .colimits import FinDiagram
+
     w = [] if warnings is None else warnings
     obj = _expect_object(node, pointer, ("objects", "arrows"))
     raw_objects = _expect_list(obj["objects"], f"{pointer}/objects")

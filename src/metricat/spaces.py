@@ -100,6 +100,22 @@ class Space:
         if bad:
             raise SpaceValidationError(bad)
 
+    @classmethod
+    def _validated(cls, dist, labels=None) -> "Space":
+        # Internal: check a tuple-of-tuples matrix against every axiom once,
+        # triangle included, then the label count, and skip __post_init__.
+        bad = _axiom_violations(dist, full=True)
+        if bad:
+            raise SpaceValidationError(bad)
+        if labels is not None and len(labels) != len(dist):
+            raise SpaceValidationError([Violation("NotSquare", (len(labels),))])
+        self = object.__new__(cls)
+        for slot in cls.__slots__:
+            object.__setattr__(self, slot, None)
+        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "labels", labels)
+        return self
+
     def __hash__(self) -> int:
         if self._hash is None:
             object.__setattr__(self, "_hash", hash((self.dist, self.labels)))
@@ -165,11 +181,8 @@ def validate_space(rows, labels=None) -> Space:
     Raises SpaceValidationError listing every violated axiom, the triangle
     inequality included.
     """
-    dist = tuple(tuple(rat(x) for x in row) for row in rows)
-    bad = _axiom_violations(dist, full=True)
-    if bad:
-        raise SpaceValidationError(bad)
-    return Space(dist, tuple(labels) if labels is not None else None)
+    return Space._validated(tuple(tuple(rat(x) for x in row) for row in rows),
+                            tuple(labels) if labels is not None else None)
 
 
 def empty_space() -> Space:

@@ -307,6 +307,30 @@ BAD_RUN_DIRS = {
 }
 
 
+class TestOutOfRangeArguments:
+    """Counts below zero and grid distances of zero are usage errors: exit
+    code 2 and a message, never a traceback or a silently clamped run."""
+
+    @pytest.mark.parametrize("args", [
+        ["fraisse", "build", "--grid", "0", "--steps", "1", "--max-size", "1"],
+        ["fraisse", "enumerate", "--grid", "0,1", "--max-size", "2"],
+        ["fraisse", "enumerate", "--grid", "1", "--max-size", "-1"],
+        ["fraisse", "build", "--grid", "1", "--steps", "-3"],
+        ["fraisse", "build", "--grid", "1", "--steps", "1", "--max-size", "-1"],
+        ["laws", "run", "--trials", "-1"],
+        ["laws", "run", "--trials", "1", "--budget", "-1"],
+    ], ids=["build-grid-0", "enumerate-grid-0", "enumerate-max-size", "build-steps",
+            "build-max-size", "laws-trials", "laws-budget"])
+    def test_exits_2_without_a_run(self, tmp_path, args):
+        if args[:2] == ["fraisse", "build"]:
+            args = [*args, "--out", str(tmp_path / "run")]
+        result = invoke(args)
+        assert result.exit_code == 2
+        assert "Invalid value" in result.output
+        assert "Traceback" not in result.output
+        assert not os.path.exists(tmp_path / "run")
+
+
 class TestRunDirectoryErrors:
     @staticmethod
     def _build(tmp_path, steps=2):

@@ -26,7 +26,9 @@ from metricat.corpus import (
     random_span,
     random_space,
 )
-from metricat.errors import BudgetExceeded, InvalidMorphism, MetricatError, MismatchedEndpoints
+from metricat.errors import (
+    BudgetExceeded, InvalidMorphism, MetricatError, MismatchedEndpoints, UsageError,
+)
 from metricat.extrat import INF, ZERO, ExtRat, rat
 from metricat.homsearch import hom_set
 from metricat.spaces import (
@@ -234,6 +236,15 @@ class TestComparison:
         diagram = FinDiagram((one_point(),), ())
         with pytest.raises(ValueError):
             comparison(diagram, 0, 1)
+
+    def test_wrong_direction_is_a_package_error(self):
+        diagram = FinDiagram((one_point(),), ())
+        try:
+            comparison(diagram, 0, 1)
+        except MetricatError as exc:
+            assert isinstance(exc, UsageError)
+        else:
+            pytest.fail("comparison from the tighter tolerance did not raise")
 
     def test_inconsistent_legs_raise_a_typed_error(self, monkeypatch):
         p = one_point()

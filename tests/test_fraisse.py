@@ -5,7 +5,7 @@ import pytest
 
 from metricat import rundir
 from metricat.canonical import are_isomorphic
-from metricat.errors import BudgetExceeded, SchemaError
+from metricat.errors import BudgetExceeded, SchemaError, UsageError
 from metricat.extrat import INF, rat
 from metricat.fraisse import (
     POLICIES,
@@ -49,6 +49,10 @@ class TestDistanceGrid:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             DistanceGrid((rat(0), rat(1)), 2)
+
+    def test_bad_grid_is_a_usage_error(self):
+        with pytest.raises(UsageError):
+            DistanceGrid((rat(1),), -1)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

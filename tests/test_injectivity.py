@@ -3,6 +3,7 @@ import random
 import pytest
 
 from metricat.corpus import CorpusConfig, random_space, random_split_mono
+from metricat.errors import UsageError
 from metricat.extrat import INF, ZERO, rat
 from metricat.injectivity import (
     TestFamily as ProbeFamily,
@@ -249,6 +250,10 @@ class TestPurity:
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
+            purity(identity(one_point()), 1, "strict", FAMILY_12)
+
+    def test_unknown_variant_is_a_usage_error(self):
+        with pytest.raises(UsageError):
             purity(identity(one_point()), 1, "strict", FAMILY_12)
 
     def test_pure_verdict_flips_with_tolerance(self):

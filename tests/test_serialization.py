@@ -103,6 +103,14 @@ class TestSpaceDocuments:
         with pytest.raises(SpaceValidationError):
             space_from_json(doc)
 
+    def test_each_non_canonical_entry_warns(self):
+        w = []
+        doc = {"points": 3, "dist": [["0", "2/2", "1"], ["2/2", "0", "1"], ["1", "1", "0"]]}
+        space = space_from_json(doc, "", w)
+        assert space.dist == validate_space([[0, 1, 1], [1, 0, 1], [1, 1, 0]]).dist
+        assert len(w) == 2
+        assert w[0].startswith("/dist/0/1:") and w[1].startswith("/dist/1/0:")
+
     def test_integer_entries_warn_but_load(self):
         w = []
         space = space_from_json({"points": 2, "dist": [[0, 1], [1, 0]]}, "", w)

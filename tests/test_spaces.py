@@ -12,9 +12,12 @@ from metricat.errors import (
     MismatchedEndpoints,
     SizeOverflow,
     SpaceValidationError,
+    Violation,
 )
 from metricat.extrat import INF, ZERO, rat
+from metricat import spaces
 from metricat.homsearch import automorphisms, hom_set
+from metricat.serialization import space_from_json
 from metricat.spaces import (
     MetMap,
     Space,
@@ -105,6 +108,21 @@ class TestValidation:
     def test_label_count_must_match(self):
         with pytest.raises(SpaceValidationError):
             Space(((ZERO,),), ("a", "b"))
+        with pytest.raises(SpaceValidationError) as err:
+            validate_space([[0]], labels=("a", "b"))
+        assert err.value.violations == (Violation("NotSquare", (2,)),)
+
+    def test_each_space_is_checked_once(self, monkeypatch):
+        calls = []
+
+        def counted(dist, **kw):
+            calls.append(kw)
+            return _axiom_violations(dist, **kw)
+
+        monkeypatch.setattr(spaces, "_axiom_violations", counted)
+        validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        space_from_json({"points": 2, "dist": [["0", "1"], ["1", "0"]]})
+        assert calls == [{"full": True}, {"full": True}]
 
     def test_small_constructors(self):
         assert empty_space().n == 0
