@@ -130,7 +130,7 @@ def space_validate(file):
 @space.command("canon")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--budget-nodes", type=int, default=None)
+@click.option("--budget-nodes", type=COUNT, default=None)
 @guarded
 def space_canon(file, out, budget_nodes):
     from .canonical import canonical_form
@@ -179,7 +179,7 @@ def colimit():
 @click.option("--in", "infile", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--verify", is_flag=True, default=False)
-@click.option("--budget-nodes", type=int, default=None)
+@click.option("--budget-nodes", type=COUNT, default=None)
 @guarded
 def colimit_pushout(eps, infile, out, verify, budget_nodes):
     from .colimits import eps_pushout
@@ -211,7 +211,7 @@ def colimit_pushout(eps, infile, out, verify, budget_nodes):
 @click.option("--in", "infile", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--verify", is_flag=True, default=False)
-@click.option("--budget-nodes", type=int, default=None)
+@click.option("--budget-nodes", type=COUNT, default=None)
 @guarded
 def colimit_coequalizer(eps, infile, out, verify, budget_nodes):
     from .colimits import eps_coequalizer
@@ -247,8 +247,8 @@ def colimit_coequalizer(eps, infile, out, verify, budget_nodes):
 @click.option("--in", "infile", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--verify", is_flag=True, default=False)
-@click.option("--budget-points", type=int, default=None)
-@click.option("--budget-nodes", type=int, default=None)
+@click.option("--budget-points", type=COUNT, default=None)
+@click.option("--budget-nodes", type=COUNT, default=None)
 @guarded
 def colimit_diagram(eps, infile, out, verify, budget_points, budget_nodes):
     from .colimits import eps_colimit
@@ -297,7 +297,7 @@ def _load_family(path: str | None):
 @click.option("--in", "infile", type=click.Path(exists=True, dir_okay=False), required=True,
               help="Morphism document f: A -> B to extend along.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--budget-nodes", type=int, default=None)
+@click.option("--budget-nodes", type=COUNT, default=None)
 @guarded
 def check_injective(eps, subject, infile, out, budget_nodes):
     from .injectivity import is_eps_injective
@@ -320,7 +320,7 @@ def check_injective(eps, subject, infile, out, budget_nodes):
 @click.option("--eps", type=RAT, required=True)
 @click.option("--in", "infile", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--budget-nodes", type=int, default=None)
+@click.option("--budget-nodes", type=COUNT, default=None)
 @guarded
 def check_split(eps, infile, out, budget_nodes):
     from .injectivity import is_eps_split
@@ -344,7 +344,7 @@ def check_split(eps, infile, out, budget_nodes):
 @click.option("--family", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--in", "infile", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--budget-nodes", type=int, default=None)
+@click.option("--budget-nodes", type=COUNT, default=None)
 @guarded
 def check_pure(eps, variant, family, infile, out, budget_nodes):
     from .injectivity import purity
@@ -376,7 +376,7 @@ def check_pure(eps, variant, family, infile, out, budget_nodes):
 @click.option("--family", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--in", "infile", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--budget-nodes", type=int, default=None)
+@click.option("--budget-nodes", type=COUNT, default=None)
 @guarded
 def check_mono(eps, family, infile, out, budget_nodes):
     from .injectivity import is_eps_mono
@@ -435,7 +435,7 @@ def fraisse():
 @click.option("--grid", type=GRID, required=True)
 @click.option("--max-size", type=COUNT, required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--budget-nodes", type=int, default=None)
+@click.option("--budget-nodes", type=COUNT, default=None)
 @guarded
 def fraisse_enumerate(grid, max_size, out, budget_nodes):
     from .fraisse import DistanceGrid, enumerate_spaces
@@ -460,8 +460,8 @@ def fraisse_enumerate(grid, max_size, out, budget_nodes):
 @click.option("--policy", type=PolicyChoice(), default="iso-skip")
 @click.option("--seed", type=int, default=0)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-@click.option("--budget-points", type=int, default=DEFAULT_STAGE_POINT_BUDGET)
-@click.option("--budget-nodes", type=int, default=None)
+@click.option("--budget-points", type=COUNT, default=DEFAULT_STAGE_POINT_BUDGET)
+@click.option("--budget-nodes", type=COUNT, default=None)
 @guarded
 def fraisse_build(grid, steps, max_size, policy, seed, out_dir, budget_points,
                   budget_nodes):
@@ -501,7 +501,7 @@ def fraisse_build(grid, steps, max_size, policy, seed, out_dir, budget_points,
 
 @fraisse.command("audit")
 @click.argument("run_dir", type=click.Path(exists=True, file_okay=False))
-@click.option("--budget-nodes", type=int, default=None)
+@click.option("--budget-nodes", type=COUNT, default=None)
 @guarded
 def fraisse_audit(run_dir, budget_nodes):
     from .fraisse import audit_saturation

@@ -10,6 +10,7 @@ colimits; at infinite tolerance they degenerate to plain coproducts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .budgets import DEFAULT_STAGE_POINT_BUDGET
 from .errors import BudgetExceeded, InvalidMorphism, MismatchedEndpoints, UsageError
@@ -171,8 +172,18 @@ def cylinder(space: Space, eps) -> CylinderResult:
     Cross distances come out as d(x', y'') = d(x, y) + eps, so a pair of
     maps (f, g) extends from K+K over the cylinder exactly when f and g are
     eps-close.  At eps = 0 the cylinder collapses back onto the space.
+    Cylinders are kept in a bounded LRU keyed by (space, eps), emptied by
+    :func:`clear_cache`.
     """
-    e = rat(eps)
+    return _cylinder(space, rat(eps))
+
+
+def clear_cache() -> None:
+    _cylinder.cache_clear()
+
+
+@lru_cache(maxsize=256)
+def _cylinder(space: Space, e: ExtRat) -> CylinderResult:
     cop = coproduct((space, space))
     n = space.n
     refl = _bridged(cop.space, ((i, n + i, e) for i in range(n)))

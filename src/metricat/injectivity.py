@@ -1,12 +1,20 @@
 """Approximate injectivity, splitness, monomorphism and purity testers.
 
-All testers are brute-force but pruned: they enumerate the relevant hom-sets
-(cached), quantify exactly as the definitions state, and return a witness for
-every negative verdict so failures replay as standalone fixtures.
+All testers quantify exactly as the definitions state, over the relevant
+hom-sets (cached), and return a witness for every negative verdict so
+failures replay as standalone fixtures.
+
+The loops compare integer ranks, never ExtRat values.  Each call reads the
+cached rank tables of the spaces it measures in (``Space.ranks``) and turns
+each tolerance into a rank once: the largest rank at most the tolerance.  A
+distance is within the tolerance exactly when its rank is at most that rank,
+so every verdict stays exact; a witness's distance is mapped back to its
+ExtRat value only for the answer.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Literal
@@ -15,7 +23,7 @@ from .canonical import canonical_form
 from .errors import UsageError
 from .extrat import INF, ZERO, ExtRat, rat
 from .homsearch import hom_set
-from .spaces import MetMap, Space, hom_dist, identity, subspace
+from .spaces import MetMap, Space, subspace
 
 
 @dataclass(frozen=True)
@@ -44,6 +52,18 @@ def _default_family(f: MetMap) -> TestFamily:
     return TestFamily.subspaces_of(f.dom)
 
 
+def _scale(space: Space):
+    """``space.ranks()``, with ZERO at rank 0 even for the empty space, whose
+    empty maps lie at distance zero from each other."""
+    values, rank = space.ranks()
+    return values or (ZERO,), rank
+
+
+def _within(values, tolerance: ExtRat) -> int:
+    """The largest rank whose value is at most ``tolerance``."""
+    return bisect_right(values, tolerance) - 1
+
+
 def injectivity_defect(subject: Space, f: MetMap, *, max_nodes: int | None = None):
     """max over g: A -> K of min over h: B -> K of d(h∘f, g), with witness.
 
@@ -54,30 +74,36 @@ def injectivity_defect(subject: Space, f: MetMap, *, max_nodes: int | None = Non
     A, B = f.dom, f.cod
     homA = hom_set(A, subject, max_nodes=max_nodes)
     homB = hom_set(B, subject, max_nodes=max_nodes)
-    sd = subject.dist
-    composites = [tuple(h.map[p] for p in f.map) for h in homB]
-    worst = ZERO
+    values, rank = _scale(subject)
+    if values[-1] != INF:
+        values += (INF,)
+    top = len(values) - 1   # the rank of INF, the distance when no h exists
+    n = subject.n
+    # h∘f as row offsets into the subject's rank table
+    composites = [tuple(h.map[p] * n for p in f.map) for h in homB]
+    worst = 0
     worst_g = None
     best_h = None
     for g in homA:
-        best = INF
+        gm = g.map
+        best = top
         best_for_g = None
         for h, hf in zip(homB, composites):
-            d = ZERO
-            for p, q in zip(hf, g.map):
-                e = sd[p][q]
-                if e > d:
-                    d = e
+            d = 0
+            for row, q in zip(hf, gm):
+                x = rank[row + q]
+                if x > d:
+                    d = x
             if d < best:
                 best = d
                 best_for_g = h
-                if best == ZERO:
+                if not d:
                     break
         if best > worst:
             worst = best
             worst_g = g
             best_h = best_for_g
-    return worst, worst_g, best_h
+    return values[worst], worst_g, best_h
 
 
 def is_eps_injective(subject: Space, f: MetMap, eps, *, max_nodes: int | None = None):
@@ -148,16 +174,24 @@ def is_eps_split(f: MetMap, eps, *, max_nodes: int | None = None):
     """Search for p with p∘f within eps of the identity; returns (ok, p)."""
     e = rat(eps)
     K = f.dom
-    ident = identity(K)
+    values, rank = _scale(K)
+    n = K.n
+    # d(p(f(k)), k) is read from row k of K's rank table
+    rows = tuple((k * n, q) for k, q in enumerate(f.map))
     best = None
     best_d = None
     for p in hom_set(f.cod, K, max_nodes=max_nodes):
-        d = hom_dist(f.then(p), ident)
+        pm = p.map
+        d = 0
+        for row, q in rows:
+            x = rank[row + pm[q]]
+            if x > d:
+                d = x
         if best_d is None or d < best_d:
             best_d, best = d, p
-            if d == ZERO:
+            if not d:
                 break
-    if best_d is not None and best_d <= e:
+    if best_d is not None and best_d <= _within(values, e):
         return True, best
     return False, None
 
@@ -167,6 +201,9 @@ def is_eps_mono(f: MetMap, eps, family: TestFamily | None = None,
     """f∘g = f∘h forces g, h within eps, over probes from the family."""
     e = rat(eps)
     fam = family if family is not None else _default_family(f)
+    values, rank = _scale(f.dom)
+    limit = _within(values, e)
+    n = f.dom.n
     for C in fam.spaces:
         maps = hom_set(C, f.dom, max_nodes=max_nodes)
         groups: dict[tuple[int, ...], list[MetMap]] = {}
@@ -174,10 +211,10 @@ def is_eps_mono(f: MetMap, eps, family: TestFamily | None = None,
             key = tuple(f.map[p] for p in g.map)
             groups.setdefault(key, []).append(g)
         for members in groups.values():
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    if hom_dist(members[a], members[b]) > e:
-                        return False, (C, members[a], members[b])
+            for g, h in combinations(members, 2):
+                for p, q in zip(g.map, h.map):
+                    if rank[p * n + q] > limit:
+                        return False, (C, g, h)
     return True, None
 
 
@@ -207,35 +244,47 @@ def purity(f: MetMap, eps, variant: PurityVariant = "pure",
     if variant not in ("pure", "weak", "bare"):
         raise UsageError(f"unknown purity variant: {variant!r}")
     e = rat(eps)
-    bound = 2 * e if variant == "weak" else e
     K, L = f.dom, f.cod
     fam = family if family is not None else _default_family(f)
-    ld, kd = L.dist, K.dist
+    kvalues, krank = _scale(K)
+    lvalues, lrank = _scale(L)
+    # admission: a square closes when no f(u(a)), v(g(a)) ranks above limit
+    limit = 0 if variant == "bare" else _within(lvalues, e)
+    # filler: t is good enough when no t(g(a)), u(a) ranks above bound
+    bound = _within(kvalues, 2 * e if variant == "weak" else e)
+    nK, nL, fm = K.n, L.n, f.map
+    fetched: dict[tuple[Space, Space], tuple[MetMap, ...]] = {}
+
+    def hom(dom: Space, cod: Space) -> tuple[MetMap, ...]:
+        # Each hom-set once per call.  A repeat would find the same maps
+        # under a fresh budget of the same size, so it could not raise.
+        maps = fetched.get((dom, cod))
+        if maps is None:
+            maps = fetched[dom, cod] = hom_set(dom, cod, max_nodes=max_nodes)
+        return maps
+
     for A in fam.spaces:
-        homAK = hom_set(A, K, max_nodes=max_nodes)
+        homAK = hom(A, K)
         if not homAK:
             continue
-        fu_arrs = [tuple(f.map[p] for p in u.map) for u in homAK]
+        # u with the row offsets of f∘u in L's rank table and of u in K's
+        rows = [(u, tuple(fm[p] * nL for p in u.map), tuple(p * nK for p in u.map))
+                for u in homAK]
         for B in fam.spaces:
-            homAB = hom_set(A, B, max_nodes=max_nodes)
-            homBL = hom_set(B, L, max_nodes=max_nodes)
-            homBK = hom_set(B, K, max_nodes=max_nodes)
+            homAB = hom(A, B)
+            homBL = hom(B, L)
+            homBK = hom(B, K)
             for g in homAB:
                 gm = g.map
-                for u, fu in zip(homAK, fu_arrs):
+                for u, fu, uk in rows:
                     # admission: some v closes the square within tolerance
                     admitting = None
                     for v in homBL:
                         vm = v.map
-                        d = ZERO
-                        for a in range(A.n):
-                            x = ld[fu[a]][vm[gm[a]]]
-                            if x > d:
-                                d = x
-                                if variant == "bare" and d > ZERO:
-                                    break
-                        limit = ZERO if variant == "bare" else e
-                        if d <= limit:
+                        for row, b in zip(fu, gm):
+                            if lrank[row + vm[b]] > limit:
+                                break
+                        else:
                             admitting = v
                             break
                     if admitting is None:
@@ -244,9 +293,9 @@ def purity(f: MetMap, eps, variant: PurityVariant = "pure",
                     best = None
                     for t in homBK:
                         tm = t.map
-                        d = ZERO
-                        for a in range(A.n):
-                            x = kd[tm[gm[a]]][u.map[a]]
+                        d = 0
+                        for row, b in zip(uk, gm):
+                            x = krank[row + tm[b]]
                             if x > d:
                                 d = x
                         if best is None or d < best:
@@ -257,6 +306,6 @@ def purity(f: MetMap, eps, variant: PurityVariant = "pure",
                     # the square even at infinite tolerance
                     if best is None or best > bound:
                         return False, PuritySquare(
-                            A, B, u, g, admitting, INF if best is None else best
+                            A, B, u, g, admitting, INF if best is None else kvalues[best]
                         )
     return True, None

@@ -169,6 +169,63 @@ def verify_brute(apex, legs, eps, objects, bridges, targets):
     return True, checked, None, None, None
 
 
+def _sup_dist(space, xs, ys):
+    """The distance of two parallel maps given as point tuples."""
+    return max((space.dist[x][y] for x, y in zip(xs, ys)), default=ZERO)
+
+
+def injectivity_defect_brute(subject, f):
+    """``injectivity.injectivity_defect`` straight from its definition.
+
+    The defect is the max over g: A -> subject of the min over
+    h: B -> subject of d(h∘f, g), ZERO when there is no g and INF for a g
+    without any h.  Returns ``(defect, worst_g, best_h)`` with the maps as
+    point tuples: worst_g is the first g whose min exceeds every earlier
+    one and ZERO, best_h the first h at that min, or None when the min is
+    INF.  A zero defect has no witness.
+    """
+    homB = hom_brute(f.cod, subject)
+    defect, worst_g, best_h = ZERO, None, None
+    for g in hom_brute(f.dom, subject):
+        gaps = [_sup_dist(subject, tuple(h[p] for p in f.map), g) for h in homB]
+        best = min(gaps, default=INF)
+        if best > defect:
+            defect, worst_g = best, g
+            best_h = homB[gaps.index(best)] if best < INF else None
+    return defect, worst_g, best_h
+
+
+def purity_brute(f, eps, variant, spaces):
+    """``injectivity.purity`` straight from its definition, over ``spaces``.
+
+    A square is u: A -> K, g: A -> B and v: B -> L with A, B from spaces
+    and d(f∘u, v∘g) at most eps (zero for the bare variant); it needs a
+    filler t: B -> K with d(t∘g, u) at most eps (2*eps for the weak
+    variant).  The squares run over A, B, g, u and then v, each
+    lexicographically, and v is the first that closes the square.  Returns
+    ``(True, None)`` or, for the first square without a filler,
+    ``(False, (A, B, u, g, v, best))`` with the maps as point tuples and
+    best the least d(t∘g, u), INF when there is no t at all.
+    """
+    K, L = f.dom, f.cod
+    closes = ZERO if variant == "bare" else eps
+    bound = 2 * eps if variant == "weak" else eps
+    for A in spaces:
+        for B in spaces:
+            for g in hom_brute(A, B):
+                for u in hom_brute(A, K):
+                    fu = tuple(f.map[p] for p in u)
+                    square = [v for v in hom_brute(B, L)
+                              if _sup_dist(L, fu, tuple(v[b] for b in g)) <= closes]
+                    if not square:
+                        continue
+                    best = min((_sup_dist(K, tuple(t[b] for b in g), u)
+                                for t in hom_brute(B, K)), default=None)
+                    if best is None or best > bound:
+                        return False, (A, B, u, g, square[0], INF if best is None else best)
+    return True, None
+
+
 class _UnionFind:
     def __init__(self, n):
         self.parent = list(range(n))

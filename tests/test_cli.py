@@ -319,9 +319,32 @@ class TestOutOfRangeArguments:
         ["fraisse", "build", "--grid", "1", "--steps", "1", "--max-size", "-1"],
         ["laws", "run", "--trials", "-1"],
         ["laws", "run", "--trials", "1", "--budget", "-1"],
+        ["space", "canon", "DOC", "--budget-nodes", "-1"],
+        ["colimit", "pushout", "--eps", "1", "--in", "DOC", "--budget-nodes", "-1"],
+        ["colimit", "coequalizer", "--eps", "1", "--in", "DOC", "--budget-nodes", "-1"],
+        ["colimit", "diagram", "--eps", "1", "--in", "DOC", "--budget-nodes", "-1"],
+        ["colimit", "diagram", "--eps", "1", "--in", "DOC", "--budget-points", "-1"],
+        ["check", "injective", "--eps", "1", "--subject", "DOC", "--in", "DOC",
+         "--budget-nodes", "-1"],
+        ["check", "split", "--eps", "1", "--in", "DOC", "--budget-nodes", "-1"],
+        ["check", "pure", "--eps", "1", "--in", "DOC", "--budget-nodes", "-1"],
+        ["check", "mono", "--eps", "1", "--in", "DOC", "--budget-nodes", "-1"],
+        ["fraisse", "enumerate", "--grid", "1", "--max-size", "2", "--budget-nodes", "-1"],
+        ["fraisse", "build", "--grid", "1", "--steps", "1", "--budget-nodes", "-1"],
+        ["fraisse", "build", "--grid", "1", "--steps", "1", "--budget-points", "-1"],
+        ["fraisse", "audit", "DIR", "--budget-nodes", "-1"],
     ], ids=["build-grid-0", "enumerate-grid-0", "enumerate-max-size", "build-steps",
-            "build-max-size", "laws-trials", "laws-budget"])
+            "build-max-size", "laws-trials", "laws-budget", "canon-budget-nodes",
+            "pushout-budget-nodes", "coequalizer-budget-nodes", "diagram-budget-nodes",
+            "diagram-budget-points", "injective-budget-nodes", "split-budget-nodes",
+            "pure-budget-nodes", "mono-budget-nodes", "enumerate-budget-nodes",
+            "build-budget-nodes", "build-budget-points", "audit-budget-nodes"])
     def test_exits_2_without_a_run(self, tmp_path, args):
+        # DOC is a valid space document and DIR an existing directory, so
+        # that only the argument under test is out of range.
+        paths = {"DOC": write_doc(tmp_path, "doc.json", space_to_json(PATH3)),
+                 "DIR": str(tmp_path)}
+        args = [paths.get(a, a) for a in args]
         if args[:2] == ["fraisse", "build"]:
             args = [*args, "--out", str(tmp_path / "run")]
         result = invoke(args)

@@ -286,6 +286,16 @@ class TestCylinder:
         res = cylinder(one_point(), rat("3/2"))
         assert res.space.dist == two_point("3/2").dist
 
+    def test_cylinders_are_memoized_per_space_and_tolerance(self):
+        K = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        colimits.clear_cache()
+        first = cylinder(K, "1/2")
+        assert cylinder(validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]]), rat("1/2")) is first
+        assert cylinder(K, 1) is not first
+        colimits.clear_cache()
+        again = cylinder(K, "1/2")
+        assert again is not first and again == first
+
     def test_zero_cylinder_collapses(self):
         K = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         res = cylinder(K, 0)

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from metricat.corpus import CorpusConfig, random_space, random_split_mono
-from metricat.errors import UsageError
+from metricat.errors import BudgetExceeded, UsageError
 from metricat.extrat import INF, ZERO, rat
+from metricat.homsearch import clear_caches
 from metricat.injectivity import (
     TestFamily as ProbeFamily,
     injectivity_defect,
@@ -25,6 +28,9 @@ from metricat.spaces import (
     two_point,
     validate_space,
 )
+
+from .oracles import hom_brute, injectivity_defect_brute, purity_brute
+from .test_homsearch import _draw
 
 PATH3 = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
@@ -305,3 +311,58 @@ class TestProbeFamilies:
         fam = ProbeFamily.subspaces_of(two_point(1))
         assert fam.spaces[0].n == 0
         assert {s.n for s in fam.spaces} == {0, 1, 2}
+
+
+EPS_VALUES = (ZERO, rat("1/2"), rat(1), INF)
+
+
+def _draw_map(rng, max_points=3):
+    """A random map between two drawn spaces, either possibly empty."""
+    dom = _draw(rng, max_points)
+    while True:
+        cod = _draw(rng, max_points)
+        maps = hom_brute(dom, cod)
+        if maps:
+            return MetMap(dom, cod, rng.choice(maps))
+
+
+class TestAgainstOracles:
+    @given(st.integers(0, 2**30), st.sampled_from(EPS_VALUES),
+           st.sampled_from(("pure", "weak", "bare")))
+    def test_purity(self, seed, eps, variant):
+        rng = random.Random(seed)
+        f = _draw_map(rng)
+        if rng.random() < 0.5:
+            spaces = ProbeFamily.subspaces_of(f.dom).spaces
+        else:
+            spaces = tuple(_draw(rng, 2) for _ in range(rng.randint(1, 3)))
+        ok, square = purity(f, eps, variant, ProbeFamily(spaces))
+        got = None if square is None else (
+            square.A, square.B, square.u.map, square.g.map, square.v.map, square.best)
+        assert (ok, got) == purity_brute(f, eps, variant, spaces)
+
+    @given(st.integers(0, 2**30))
+    def test_injectivity_defect(self, seed):
+        rng = random.Random(seed)
+        f = _draw_map(rng)
+        # f's own domain is often not injective to f: half the draws
+        subject = f.dom if rng.random() < 0.5 else _draw(rng)
+        defect, g, h = injectivity_defect(subject, f)
+        got = (defect, None if g is None else g.map, None if h is None else h.map)
+        assert got == injectivity_defect_brute(subject, f)
+
+    def test_purity_budget_does_not_depend_on_the_cache(self, monkeypatch):
+        # The dearest search is hom(two_point(1), K): 4 nodes for the first
+        # point and 4 * 4 for the second.
+        K = validate_space([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
+        fam = ProbeFamily((one_point(), two_point(1)))
+        clear_caches()
+        for warm in (False, True):
+            monkeypatch.setenv("METRICAT_BUDGET_NODES", "19")
+            with pytest.raises(BudgetExceeded):
+                purity(identity(K), 1, "pure", fam)
+            if not warm:
+                monkeypatch.delenv("METRICAT_BUDGET_NODES")
+                purity(identity(K), 1, "pure", fam)
+            monkeypatch.setenv("METRICAT_BUDGET_NODES", "20")
+            assert purity(identity(K), 1, "pure", fam) == (True, None)
