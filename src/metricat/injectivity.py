@@ -71,9 +71,12 @@ def injectivity_defect(subject: Space, f: MetMap, *, max_nodes: int | None = Non
     exactly when the defect is <= eps; a zero defect certifies injectivity
     at every positive tolerance at once.
     """
-    A, B = f.dom, f.cod
-    homA = hom_set(A, subject, max_nodes=max_nodes)
-    homB = hom_set(B, subject, max_nodes=max_nodes)
+    return _defect(subject, f, hom_set(f.dom, subject, max_nodes=max_nodes),
+                   hom_set(f.cod, subject, max_nodes=max_nodes))
+
+
+def _defect(subject: Space, f: MetMap, homA, homB):
+    """``injectivity_defect`` over the fetched hom-sets A -> K and B -> K."""
     values, rank = _scale(subject)
     if values[-1] != INF:
         values += (INF,)
@@ -110,10 +113,11 @@ def is_eps_injective(subject: Space, f: MetMap, eps, *, max_nodes: int | None = 
     """(verdict, witness): witness is the unfillable g on failure."""
     e = rat(eps)
     homA = hom_set(f.dom, subject, max_nodes=max_nodes)
-    if homA and not hom_set(f.cod, subject, max_nodes=max_nodes):
+    homB = hom_set(f.cod, subject, max_nodes=max_nodes)
+    if homA and not homB:
         # no filler exists at all, not even at infinite tolerance
         return False, homA[0]
-    defect, worst_g, _ = injectivity_defect(subject, f, max_nodes=max_nodes)
+    defect, worst_g, _ = _defect(subject, f, homA, homB)
     if defect <= e:
         return True, None
     return False, worst_g

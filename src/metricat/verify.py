@@ -7,33 +7,49 @@ points, so corrupted candidates (an extra floating point, a distorted apex)
 are caught as existence or uniqueness failures.  The first counterexample in
 enumeration order is reported, making failures reproducible fixtures.
 
-The loops compare integer ranks, never ExtRat values.  Once per target T a
-``_Target`` gathers T's rank table (``Space.ranks``, which the hom-set
-searches have filled already), eps as the largest T-rank not above eps, and
-each apex distance as the largest T-rank its image pair may take.  A cocone
-commutes within eps when none of the image pairs of its squares ranks above
-the eps rank.  The apex is ranked once per verification on the side
-(``_Apex``) rather than through the apex ``Space``'s own cache, which would
-outlive the check; only a search over free apex points ranks it there.
+All three verifiers check one statement: each family of maps c_k: O_k -> T
+with ``d_T(c_i(x), c_j(y)) <= eps`` on every bridge (i, x, j, y) is a
+cocone, and must factor uniquely through the apex.  A pushout of (f, g)
+bridges (0, f(a), 1, g(a)), a coequalizer (0, f(a), 0, g(a)), a colimit
+(i, x, j, m(x)) per arrow.  A cocone is read as the flat tuple of its maps'
+values, and every test bounds the T-rank (``Space.ranks``) of the images
+of two positions: a bridge by eps, two positions that pin one apex point by
+rank 0, and the pins of an apex pair by the largest T-rank of their distance.
 
-A verdict needs only whether there are 0, 1 or more mediators.  When the
-legs reach every apex point (the common case) the cocone pins the one
-candidate, which is checked pair by pair in a single pass, and no mediator
-is built.  Otherwise the free points are searched by the hom-set
-kernel (``homsearch._search``) with the pinned points forced, until a
-second mediator turns up.  Maps are built only for the mediators of a
-reported counterexample, which lists all of them.  Every mediator search
-charges the nodes of the full unpruned tree, 1 plus one per target point
-tried at each free point, before it starts, so budget outcomes do not
-depend on the pruning.
+One join kernel (``_Join``) takes the cocones into a target T leg by leg,
+in ``itertools.product`` order over the hom-sets (last leg fastest).  A
+set of a leg's maps is a Python int, bit q standing for the q-th map of the
+hom-set.  Tests inside a leg are masks made once: ``adm`` for its bridges,
+``ok`` for its pins.  A test back to an earlier leg is a "near" mask indexed
+by that leg's image, ORed on first use from point masks (the maps with
+c(y) == s).  After a prefix, the admissible maps are ``adm`` ANDed with a
+near mask per bridge back, and the maps that keep the pins ``ok`` ANDed
+likewise.  At the last leg the first counterexample is the lowest set bit
+of the admissible maps that break a pin; every admissible map below it is a
+cocone checked and passed.  Maps are built only for a counterexample.
+
+When the legs reach every apex point, a cocone pins its one candidate
+mediator and the pin masks give the verdict.  Otherwise the admissible
+cocones are taken bit by bit, and the free points of each are searched by
+the hom-set kernel (``homsearch._search``) with the pinned points forced,
+until a second mediator turns up.
+
+Nodes are charged in bulk, to exactly what a loop over the cocones charges
+up to its outcome, so a budget raises or returns at the same point: each
+checked cocone that keeps the pins of its duplicate positions costs the
+nodes of the full unpruned mediator tree, 1 plus one per target point at
+each free point (nothing when free points meet an empty target), and a
+colimit also costs one node per map tried at each leg.  The apex is ranked
+once per verification on the side (``_Apex``) rather than through the apex
+``Space``'s own cache, which would outlive the check; only a search over
+free apex points ranks it there.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice, repeat
-from operator import add, gt, mul, ne
+from itertools import accumulate, islice
 
 from .budgets import NodeBudget
 from .colimits import EpsColimitResult, EpsCoequalizerResult, EpsPushoutResult, FinDiagram
@@ -70,180 +86,268 @@ _PREPAID = _Prepaid()
 
 
 class _Apex:
-    """A candidate apex with its legs, whatever the target.
+    """A candidate apex with its legs and the bridges, whatever the target.
 
-    A cone is read as the flat tuple of its maps' values, in the order of
-    the legs' concatenated maps: position k holds the image of apex point
-    ``flat[k]``.  ``first[p]`` is the first position that pins apex point
-    p, or one past the end for a free point.  A cone pins consistently when
-    each position in ``dup`` agrees with the position ``orig`` that first
-    pins its point.  ``pairs`` holds, for each apex pair i < j, the
-    positions ``first[i]`` and ``first[j]`` and the index of ``d(i, j)``
-    among ``values``, the apex's sorted distinct distances.
+    Position k of a cone holds the image of apex point ``flat[k]``; leg
+    k's positions run from ``starts[k]`` to ``starts[k + 1]``.
+    ``first[p]`` is the first position that pins apex point p, or one past
+    the end for a free point.  A cone pins consistently when each position
+    in ``dup`` agrees with the position ``orig`` that first pins its point.
+    ``tests[k]`` holds the tests that bind at leg k, the leg of their later
+    position: the bridges as position pairs (a, b), and the pins as
+    (a, b, r) with r the index of their distance among ``values``, the
+    apex's sorted distinct distances.  A duplicate pin is a pair at
+    distance zero; the apex pairs are pins only when no apex point is free,
+    as a search checks them otherwise.
     """
 
-    __slots__ = ("space", "first", "dup", "orig", "free", "values", "pairs")
+    __slots__ = ("space", "starts", "first", "dup", "orig", "free", "values", "tests")
 
-    def __init__(self, space: Space, legs):
+    def __init__(self, space: Space, legs, bridges):
         self.space = space
+        self.starts = starts = list(accumulate(map(len, legs), initial=0))
         flat = [p for leg in legs for p in leg]
         first: dict[int, int] = {}
         for k, p in enumerate(flat):
             first.setdefault(p, k)
         self.free = space.n - len(first)
-        self.first = [first.get(p, len(flat)) for p in range(space.n)]
+        self.first = at = [first.get(p, len(flat)) for p in range(space.n)]
         self.dup = [k for k, p in enumerate(flat) if first[p] != k]
         self.orig = [first[flat[k]] for k in self.dup]
         self.values = sorted({d for row in space.dist for d in row})
-        index = {v: r for r, v in enumerate(self.values)}
-        at, dist = self.first, space.dist
-        self.pairs = [(at[i], at[j], index[dist[i][j]])
-                      for i in range(space.n) for j in range(i + 1, space.n)]
+        pins = [(o, d, 0) for d, o in zip(self.dup, self.orig)]
+        if not self.free:
+            index = {v: r for r, v in enumerate(self.values)}
+            pins += [(*sorted((at[i], at[j])), index[space.dist[i][j]])
+                     for i in range(space.n) for j in range(i + 1, space.n)]
+        self.tests = [([], []) for _ in legs]
+        for i, x, j, y in bridges:
+            a, b = sorted((starts[i] + x, starts[j] + y))
+            self.tests[bisect_right(starts, b) - 1][0].append((a, b))
+        for a, b, r in pins:
+            self.tests[bisect_right(starts, b) - 1][1].append((a, b, r))
 
 
-class _Target:
-    """A target T in rank form, with the apex distances translated into it."""
+class _Near(dict):
+    """Target point t -> the mask of a leg's maps c with rank(t, c(y)) <= r
+    for every (y, r) in ``tests``, ANDed on first use from the leg's point
+    masks: ``columns[y][s]`` masks the maps with c(y) == s."""
 
-    __slots__ = ("space", "apex", "m", "rank", "eps", "nodes", "pairs")
+    __slots__ = ("columns", "rank", "tests")
 
-    def __init__(self, space: Space, apex: _Apex, eps: ExtRat):
-        values, self.rank = space.ranks()
-        self.space, self.apex, self.m = space, apex, space.n
-        self.eps = bisect_right(values, eps) - 1
-        # Nodes of the unpruned mediator tree: 1, then m per free point.
-        self.nodes = sum(self.m ** k for k in range(apex.free + 1))
-        # The apex pairs a pinned map could expand, as three parallel
-        # lists: the cone positions of both points and the largest T-rank
-        # of their image pair.
-        to = [bisect_right(values, v) - 1 for v in apex.values]
-        top = len(values) - 1
-        self.pairs = tuple(zip(*[(i, j, to[r]) for i, j, r in apex.pairs
-                                 if to[r] < top])) or ((), (), ())
+    def __init__(self, columns, rank, tests):
+        super().__init__()
+        self.columns, self.rank, self.tests = columns, rank, tests
 
-    def close(self, left, right) -> bool:
-        """Whether the point sequences ``left`` and ``right`` of T lie
-        pairwise within eps."""
-        pairs = map(add, map(mul, left, repeat(self.m)), right)
-        return max(map(self.rank.__getitem__, pairs), default=-1) <= self.eps
+    def __missing__(self, t: int) -> int:
+        m = len(self.columns[0])
+        row = self.rank[t * m:(t + 1) * m]
+        mask = -1
+        for y, r in self.tests:
+            near = 0
+            for bits, d in zip(self.columns[y], row):
+                if d <= r:
+                    near |= bits
+            mask &= near
+        self[t] = mask
+        return mask
 
-    def mediators(self, cone: tuple[int, ...], budget: NodeBudget) -> tuple[MetMap, ...] | None:
-        """None when exactly one apex -> T map sends the legs' images to the
-        flat ``cone`` values; otherwise all such maps (none: empty)."""
-        apex, at = self.apex, cone.__getitem__
-        if apex.dup and any(map(ne, map(at, apex.dup), map(at, apex.orig))):
+
+class _Leg:
+    """The maps of one object into T as bitmasks, bit q standing for
+    ``homs[q]``, with the tests (a, b, rank bound) whose later position b
+    lies on the leg, cone positions ``start`` to ``end``: ``tests[0]`` the
+    bridges, ``tests[1]`` the pins.  The tests inside the leg make the masks
+    ``adm`` and ``ok`` once.  Those that reach back to a position a of an
+    earlier leg go to ``cross_adm`` or ``cross_ok`` as ``(a, near)``, one
+    per a, with ``near`` indexed by a's image.  There are tests only when T
+    has two points or more, so then every hom-set has a map."""
+
+    __slots__ = ("homs", "maps", "span", "adm", "ok", "cross_adm", "cross_ok")
+
+    def __init__(self, homs, start: int, end: int, tests, rank, m: int):
+        self.homs, self.span = homs, slice(start, end)
+        self.maps = maps = [h.map for h in homs]
+        columns = []
+        if any(tests):
+            for image in zip(*maps):
+                column = [0] * m
+                for q, s in enumerate(image):
+                    column[s] |= 1 << q
+                columns.append(column)
+        masks, crosses = [], []
+        for found in tests:
+            mask, cross = (1 << len(maps)) - 1, []
+            back: dict[int, dict] = {}
+            for a, b, r in found:
+                back.setdefault(a, {})[b - start, r] = None
+            for a, group in back.items():
+                near = _Near(columns, rank, tuple(group))
+                if a < start:
+                    cross.append((a, near))
+                    continue
+                keep = 0
+                for s, bits in enumerate(columns[a - start]):
+                    if bits:
+                        keep |= bits & near[s]
+                mask &= keep
+            masks.append(mask)
+            crosses.append(cross)
+        self.adm, self.ok = masks
+        self.cross_adm, self.cross_ok = crosses
+
+
+class _Join:
+    """The cocones into one target T, checked leg by leg.
+
+    ``tried`` is the nodes charged per map tried at a leg (1 for a colimit,
+    else 0).  ``v`` holds the flat cone of the maps picked so far.
+    """
+
+    __slots__ = ("target", "apex", "legs", "budget", "tried", "nodes", "v",
+                 "picks", "checked")
+
+    def __init__(self, target: Space, homs, apex: _Apex, eps: ExtRat,
+                 budget: NodeBudget, tried: int):
+        values, rank = target.ranks()
+        m, top = target.n, len(values) - 1
+        # A test at the top rank always holds, so T needs two points for any.
+        tests = [((), ())] * len(homs)
+        if top > 0:
+            e = bisect_right(values, eps) - 1
+            to = [bisect_right(values, v) - 1 for v in apex.values]
+            tests = [([(a, b, e) for a, b in bridges] if e < top else (),
+                      [(a, b, to[r]) for a, b, r in pins if to[r] < top])
+                     for bridges, pins in apex.tests]
+        starts = apex.starts
+        self.legs = [_Leg(h, starts[k], starts[k + 1], tests[k], rank, m)
+                     for k, h in enumerate(homs)]
+        self.target, self.apex, self.budget, self.tried = target, apex, budget, tried
+        self.nodes = sum(m ** k for k in range(apex.free + 1))
+        self.v = [0] * starts[-1]
+        self.picks = [0] * len(homs)
+        self.checked = 0
+
+    def cone(self) -> tuple[MetMap, ...]:
+        return tuple(leg.homs[q] for leg, q in zip(self.legs, self.picks))
+
+    def _charge(self, nodes: int) -> None:
+        # Spend nothing on no nodes, as a loop over the cocones would: a
+        # negative limit then still passes a check that charges none.
+        if nodes:
+            self.budget.spend(nodes)
+
+    def walk(self, k: int, failing: bool):
+        """Check the cocones that extend the maps picked for the legs before
+        k, ``failing`` when those maps already break a pin.  None when each
+        has exactly one mediator, else the mediators of the first that does
+        not, whose maps ``cone`` returns."""
+        if k == len(self.legs):
+            self.checked += 1
+            return () if failing else self._search()
+        leg, v = self.legs[k], self.v
+        adm = leg.adm
+        for a, near in leg.cross_adm:
+            adm &= near[v[a]]
+        ok = 0
+        if not failing:
+            ok = leg.ok
+            for a, near in leg.cross_ok:
+                ok &= near[v[a]]
+        if k + 1 == len(self.legs) and not self.apex.free:
+            # Every admissible map below the first that breaks a pin is a
+            # cocone checked and passed, at one node each.
+            bad = adm & ~ok
+            stop = (bad & -bad).bit_length() - 1
+            passed = (adm & ((1 << stop) - 1) if bad else adm).bit_count()
+            self.checked += passed
+            if not bad:
+                self._charge(passed + self.tried * len(leg.maps))
+                return None
+            self.picks[k] = stop
+            v[leg.span] = leg.maps[stop]
+            self.checked += 1
+            dup = self.apex.dup
+            kept = all(v[d] == v[o] for d, o in zip(dup, self.apex.orig))
+            self._charge(passed + kept + self.tried * (stop + 1))
             return ()
-        if apex.free and not self.m:
-            return ()
-        budget.spend(self.nodes)
-        if not apex.free:
-            i, j, bound = self.pairs
-            image = map(add, map(mul, map(at, i), repeat(self.m)), map(at, j))
-            return () if any(map(gt, map(self.rank.__getitem__, image), bound)) else None
-        forced = {p: cone[k] for p, k in enumerate(apex.first) if k < len(cone)}
-        found = _search(apex.space, self.space, False, _PREPAID, forced, memo=False)
+        while adm:
+            low = adm & -adm
+            q = low.bit_length() - 1
+            self.picks[k] = q
+            v[leg.span] = leg.maps[q]
+            meds = self.walk(k + 1, not ok & low)
+            if meds is not None:
+                self._charge(self.tried * (q + 1))
+                return meds
+            adm ^= low
+        self._charge(self.tried * len(leg.maps))
+        return None
+
+    def _search(self):
+        """The mediators of the picked cocone, which keeps its duplicate
+        pins: None when there is exactly one."""
+        apex, target, v = self.apex, self.target, self.v
+        self.budget.spend(self.nodes)
+        forced = {p: v[k] for p, k in enumerate(apex.first) if k < len(v)}
+        found = _search(apex.space, target, False, _PREPAID, forced, memo=False)
         first_two = tuple(islice(found, 2))
         if len(first_two) == 1:
             return None
-        return tuple(MetMap._trusted(apex.space, self.space, arr)
+        return tuple(MetMap._trusted(apex.space, target, arr)
                      for arr in (*first_two, *found))
 
 
-def _failure(checked: int, target: Space, cone, meds) -> VerifyReport:
-    kind = "uniqueness" if meds else "existence"
-    return VerifyReport(False, checked, Counterexample(kind, target, tuple(cone), meds))
+def _verify(apex: Space, legs, eps: ExtRat, objects, bridges, targets,
+            budget: NodeBudget, tried: int = 0) -> VerifyReport:
+    """Check the cocones of ``objects`` under ``bridges`` (i, x, j, y) into
+    each target against the apex and its legs."""
+    a = _Apex(apex, [leg.map for leg in legs], bridges)
+    checked = 0
+    for target in targets:
+        homs = [hom_set(o, target) for o in objects]
+        join = _Join(target, homs, a, eps, budget, tried)
+        # A free apex point has no image in an empty target.
+        meds = join.walk(0, bool(a.free) and not target.n)
+        checked += join.checked
+        if meds is not None:
+            kind = "uniqueness" if meds else "existence"
+            return VerifyReport(False, checked, Counterexample(kind, target, join.cone(), meds))
+    return VerifyReport(True, checked, None)
 
 
 def verify_pushout(result: EpsPushoutResult, f: MetMap, g: MetMap,
                    targets, *, max_nodes: int | None = None) -> VerifyReport:
     """Check Def-style universality of a claimed eps-pushout of (f, g)."""
     budget = NodeBudget(max_nodes)
-    eps = result.eps
-    B, C = f.cod, g.cod
-    checked = 0
     square = hom_dist(g.then(result.leg_f), f.then(result.leg_g))
-    if square > eps:
+    if square > result.eps:
         return VerifyReport(False, 0, Counterexample(
             "square", None, (result.leg_g, result.leg_f), ()))
-    apex = _Apex(result.apex, (result.leg_g.map, result.leg_f.map))
-    for target in targets:
-        homB = hom_set(B, target)
-        homC = hom_set(C, target)
-        t = _Target(target, apex, eps)
-        m, rank, e = t.m, t.rank.__getitem__, t.eps
-        # _Target.close, inlined with f∘gp premultiplied: it runs per cospan.
-        fpgs = [(fp, [fp.map[c] for c in g.map]) for fp in homC]
-        for gp in homB:
-            gpf = [gp.map[b] * m for b in f.map]
-            for fp, fpg in fpgs:
-                if max(map(rank, map(add, gpf, fpg)), default=-1) > e:
-                    continue
-                checked += 1
-                meds = t.mediators(gp.map + fp.map, budget)
-                if meds is not None:
-                    return _failure(checked, target, (gp, fp), meds)
-    return VerifyReport(True, checked, None)
+    bridges = [(0, f.map[a], 1, g.map[a]) for a in range(f.dom.n)]
+    return _verify(result.apex, (result.leg_g, result.leg_f), result.eps,
+                   (f.cod, g.cod), bridges, targets, budget)
 
 
 def verify_coequalizer(result: EpsCoequalizerResult, f: MetMap, g: MetMap,
                        targets, *, max_nodes: int | None = None) -> VerifyReport:
     budget = NodeBudget(max_nodes)
-    eps = result.eps
-    B = f.cod
-    checked = 0
-    if hom_dist(f.then(result.leg), g.then(result.leg)) > eps:
+    if hom_dist(f.then(result.leg), g.then(result.leg)) > result.eps:
         return VerifyReport(False, 0, Counterexample(
             "square", None, (result.leg,), ()))
-    apex = _Apex(result.apex, (result.leg.map,))
-    for target in targets:
-        homs = hom_set(B, target)
-        t = _Target(target, apex, eps)
-        for hp in homs:
-            h = hp.map
-            if not t.close([h[b] for b in f.map], [h[b] for b in g.map]):
-                continue
-            checked += 1
-            meds = t.mediators(h, budget)
-            if meds is not None:
-                return _failure(checked, target, (hp,), meds)
-    return VerifyReport(True, checked, None)
+    bridges = [(0, f.map[a], 0, g.map[a]) for a in range(f.dom.n)]
+    return _verify(result.apex, (result.leg,), result.eps, (f.cod,), bridges,
+                   targets, budget)
 
 
 def verify_colimit(result: EpsColimitResult, diagram: FinDiagram,
                    targets, *, max_nodes: int | None = None) -> VerifyReport:
     """Check universality against every eps-commuting cocone."""
     budget = NodeBudget(max_nodes)
-    eps = result.eps
-    checked = 0
     for i, j, m in diagram.arrows:
-        if hom_dist(result.legs[i], m.then(result.legs[j])) > eps:
+        if hom_dist(result.legs[i], m.then(result.legs[j])) > result.eps:
             return VerifyReport(False, 0, Counterexample(
                 "square", None, tuple(result.legs), ()))
-    objs = diagram.objects
-    apex = _Apex(result.apex, [leg.map for leg in result.legs])
-    # The arrows to test once object k joins the cocone: those between k
-    # and objects before it, k itself included.
-    arrows = [[(i, j, m.map) for i, j, m in diagram.arrows if max(i, j) == k]
-              for k in range(len(objs))]
-    for target in targets:
-        homs = [hom_set(o, target) for o in objs]
-        t = _Target(target, apex, eps)
-        cone: list[MetMap | None] = [None] * len(objs)
-
-        def cocones(k: int):
-            if k == len(objs):
-                yield tuple(cone)
-                return
-            for c in homs[k]:
-                budget.spend()
-                cone[k] = c
-                if all(t.close(cone[i].map, [cone[j].map[y] for y in m])
-                       for i, j, m in arrows[k]):
-                    yield from cocones(k + 1)
-            cone[k] = None
-
-        for cc in cocones(0):
-            checked += 1
-            meds = t.mediators(sum((c.map for c in cc), ()), budget)
-            if meds is not None:
-                return _failure(checked, target, cc, meds)
-    return VerifyReport(True, checked, None)
+    bridges = [(i, x, j, y) for i, j, m in diagram.arrows for x, y in enumerate(m.map)]
+    return _verify(result.apex, result.legs, result.eps, diagram.objects, bridges,
+                   targets, budget, tried=1)

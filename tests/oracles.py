@@ -49,6 +49,44 @@ def simple_path_closure(dist):
     """All-pairs shortest distance by enumerating simple paths.
 
     dist: square list-of-lists of ExtRat, assumed symmetric with zero
+    diagonal.  Returns a new matrix; never mutates the input.  For each pair
+    (i, j) a depth-first walk extends simple paths from i and drops one
+    once its weight is no longer below the best i -> j weight found: the
+    distances are nonnegative, so no extension could do better.  The result
+    is the minimum over every simple path, as the permutation sweep of
+    ``simple_path_closure_exhaustive`` finds it.
+    """
+    n = len(dist)
+    out = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            best = dist[i][j]
+            stack = [(i, ZERO, frozenset((i, j)))]
+            while stack:
+                prev, weight, seen = stack.pop()
+                if not weight < best:
+                    continue
+                for k in range(n):
+                    if k in seen:
+                        continue
+                    total = weight + dist[prev][k]
+                    if not total < best:
+                        continue
+                    via = total + dist[k][j]
+                    if via < best:
+                        best = via
+                    stack.append((k, total, seen | {k}))
+            out[i][j] = best
+    return out
+
+
+def simple_path_closure_exhaustive(dist):
+    """All-pairs shortest distance by sweeping every simple path: each
+    permutation of each subset of the other points, between i and j.
+
+    dist: square list-of-lists of ExtRat, assumed symmetric with zero
     diagonal.  Returns a new matrix; never mutates the input.
     """
     n = len(dist)
@@ -167,6 +205,59 @@ def verify_brute(apex, legs, eps, objects, bridges, targets):
                 kind = "uniqueness" if mediators else "existence"
                 return False, checked, kind, tuple(cone), mediators
     return True, checked, None, None, None
+
+
+def verify_nodes_brute(apex, legs, eps, objects, bridges, targets, *, colimit=False):
+    """The search nodes a verifier charges up to its outcome, by plain
+    enumeration.
+
+    The arguments are those of ``verify_brute``; ``colimit`` marks a
+    verify_colimit.  A failed square charges nothing.  Each checked cocone
+    up to and including the outcome costs, when its legs pin every apex
+    point they reach to one image, the nodes of the full mediator tree into
+    an m-point target: 1 + m + ... + m^free, with ``free`` the apex points
+    no leg reaches, or nothing when free points meet an empty target.  A
+    verify_colimit also pays one node per map tried at each level: each
+    prefix of maps for objects 0..k whose maps for 0..k-1 keep the bridges
+    among them, up to the outcome's prefix in lexicographic order.
+    """
+    def within(space, maps, upto):
+        return all(space.dist[maps[i][x]][maps[j][y]] <= eps
+                   for i, x, j, y in bridges if max(i, j) < upto)
+
+    if not within(apex, legs, len(legs)):
+        return 0
+    free = apex.n - len({p for leg in legs for p in leg})
+    nodes = 0
+    for target in targets:
+        m = target.n
+        homs = [hom_brute(obj, target) for obj in objects]
+        outcome = None
+        for picks in itertools.product(*(range(len(h)) for h in homs)):
+            cone = [h[q] for h, q in zip(homs, picks)]
+            if not within(target, cone, len(cone)):
+                continue
+            choices = [set(range(m)) for _ in range(apex.n)]
+            for leg, c in zip(legs, cone):
+                for x, p in enumerate(leg):
+                    choices[p] &= {c[x]}
+            if all(choices[p] for leg in legs for p in leg) and (m or not free):
+                nodes += sum(m ** k for k in range(free + 1))
+            mediators = [arr for arr in itertools.product(*map(sorted, choices))
+                         if all(target.dist[arr[p]][arr[q]] <= apex.dist[p][q]
+                                for p in range(apex.n) for q in range(apex.n))]
+            if len(mediators) != 1:
+                outcome = picks
+                break
+        for k in range(len(homs) if colimit else 0):
+            for prefix in itertools.product(*(range(len(h)) for h in homs[:k + 1])):
+                if outcome is not None and prefix > outcome[:k + 1]:
+                    break
+                if within(target, [h[q] for h, q in zip(homs, prefix)], k):
+                    nodes += 1
+        if outcome is not None:
+            break
+    return nodes
 
 
 def _sup_dist(space, xs, ys):

@@ -104,6 +104,21 @@ class TestColimitCommands:
         assert len(doc["legs"]) == 2
         assert doc["verification"]["ok"] is True
 
+    @pytest.mark.parametrize("command, fixture, checked", [
+        ("pushout", "span.json", 239),
+        ("coequalizer", "pair.json", 29),
+        ("diagram", "diagram.json", 1517),
+    ])
+    def test_verify_the_committed_fixtures(self, tmp_path, command, fixture, checked):
+        # The CI workflow runs the same three commands through the console script.
+        path = os.path.join(os.path.dirname(__file__), "data", fixture)
+        out = str(tmp_path / "out.json")
+        result = invoke(["colimit", command, "--eps", "1/2", "--in", path,
+                         "--verify", "--out", out])
+        assert result.exit_code == 0
+        assert read_json(out)["verification"] == {
+            "ok": True, "checked": checked, "counterexample": None}
+
     def test_bad_eps_is_a_usage_error(self, tmp_path):
         f = MetMap(one_point(), two_point(1), (0,))
         path = write_doc(tmp_path, "pair.json", pair_to_json(f, f))

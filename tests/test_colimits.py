@@ -45,7 +45,7 @@ from metricat.spaces import (
 )
 from metricat.verify import verify_coequalizer, verify_colimit, verify_pushout
 
-from .oracles import ordinary_colimit_oracle, verify_brute
+from .oracles import ordinary_colimit_oracle, verify_brute, verify_nodes_brute
 
 EPS_VALUES = (ZERO, rat("1/2"), rat(1), INF)
 
@@ -534,3 +534,60 @@ class TestVerifyMatchesBrute:
                                res.leg_g.then(padded.injections[0]), res.eps)
         report = verify_pushout(bad, f, g, [e], max_nodes=0)
         assert (report.checked, report.counterexample.kind) == (1, "existence")
+
+
+def _check_charge(verify, apex, legs, eps, objects, bridges, targets, colimit=False):
+    """``verify(max_nodes)`` returns ``verify_brute``'s report with exactly
+    the nodes ``verify_nodes_brute`` counts, and raises with one fewer."""
+    maps = [leg.map for leg in legs]
+    charge = verify_nodes_brute(apex, maps, eps, objects, bridges, targets, colimit=colimit)
+    assert _as_brute(verify(charge)) == verify_brute(apex, maps, eps, objects, bridges, targets)
+    if charge:
+        with pytest.raises(BudgetExceeded):
+            verify(charge - 1)
+
+
+class TestVerifyNodeCharges:
+    """The node charges of all three verifiers against
+    ``oracles.verify_nodes_brute``, on the inputs and corruptions of
+    ``TestVerifyMatchesBrute``: a budget of exactly the charge gives the
+    brute-force report, one node less raises."""
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**30), st.sampled_from(EPS_VALUES))
+    def test_pushout(self, seed, eps):
+        f, g = random_span(random.Random(seed), CorpusConfig(max_points=4))
+        res = eps_pushout(f, g, eps)
+        bridges = [(0, f.map[a], 1, g.map[a]) for a in range(f.dom.n)]
+        targets = _small(res.apex, f.cod, g.cod)
+        for _, apex, (leg_g, leg_f) in _candidates(res.apex, (res.leg_g, res.leg_f)):
+            claim = EpsPushoutResult(apex, leg_f, leg_g, res.eps)
+            _check_charge(lambda n: verify_pushout(claim, f, g, targets, max_nodes=n),
+                          apex, (leg_g, leg_f), res.eps, (f.cod, g.cod), bridges, targets)
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**30), st.sampled_from(EPS_VALUES))
+    def test_coequalizer(self, seed, eps):
+        f, g = random_parallel_pair(random.Random(seed), CorpusConfig(max_points=4))
+        res = eps_coequalizer(f, g, eps)
+        bridges = [(0, f.map[a], 0, g.map[a]) for a in range(f.dom.n)]
+        targets = _small(res.apex, f.cod)
+        for _, apex, (leg,) in _candidates(res.apex, (res.leg,)):
+            claim = EpsCoequalizerResult(apex, leg, res.eps)
+            _check_charge(lambda n: verify_coequalizer(claim, f, g, targets, max_nodes=n),
+                          apex, (leg,), res.eps, (f.cod,), bridges, targets)
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**30), st.sampled_from(EPS_VALUES))
+    def test_colimit(self, seed, eps):
+        rng = random.Random(seed)
+        diagram = random_diagram(rng, CorpusConfig(max_points=4))
+        while sum(o.n for o in diagram.objects) > 6:
+            diagram = random_diagram(rng, CorpusConfig(max_points=4))
+        res = eps_colimit(diagram, eps)
+        bridges = [(i, x, j, m.map[x]) for i, j, m in diagram.arrows for x in range(m.dom.n)]
+        targets = _small(res.apex)
+        for _, apex, legs in _candidates(res.apex, res.legs):
+            claim = EpsColimitResult(apex, tuple(legs), res.eps)
+            _check_charge(lambda n: verify_colimit(claim, diagram, targets, max_nodes=n),
+                          apex, legs, res.eps, diagram.objects, bridges, targets, colimit=True)

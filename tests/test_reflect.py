@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricat.corpus import random_semimetric
@@ -10,7 +10,12 @@ from metricat.extrat import INF, ZERO, rat
 from metricat.reflect import Semimetric, reflect, semimetric_of, semimetric_of_space
 from metricat.spaces import validate_space
 
-from .oracles import rat_grid, simple_path_closure
+from .oracles import (
+    random_symmetric_matrix,
+    rat_grid,
+    simple_path_closure,
+    simple_path_closure_exhaustive,
+)
 
 
 class TestSemimetric:
@@ -112,3 +117,12 @@ class TestReflect:
                     da = base.space.d(base.projection[a], base.projection[b])
                     db = raised.space.d(raised.projection[a], raised.projection[b])
                     assert da <= db
+
+
+class TestSimplePathOracle:
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**30), st.integers(0, 6))
+    def test_pruned_walk_matches_the_permutation_sweep(self, seed, n):
+        # zero gaps included: pruning must hold for every nonnegative weight
+        matrix = random_symmetric_matrix(random.Random(seed), n, rat_grid() + (ZERO,))
+        assert simple_path_closure(matrix) == simple_path_closure_exhaustive(matrix)
