@@ -1,33 +1,73 @@
 """Approximate colimits built by bridging and reflecting.
 
-Every construction here follows the same recipe: lay out a coproduct, lower
-selected cross-distances to the tolerance ("bridges"), reflect the resulting
-semimetric, and read the structure maps off the projection.  At tolerance
-zero the bridges collapse and the constructions are the classical quotient
-colimits; at infinite tolerance they degenerate to plain coproducts.
+Every construction here is a :class:`Presentation`: a coproduct of pieces
+with chosen points put within the tolerance of each other ("bridges"),
+reflected, with one leg per piece read off the projection.  The eps-pushout,
+eps-coequalizer, eps-colimit and cylinder are thin wrappers over the
+presentation builders below, and :mod:`metricat.verify` checks a claimed
+colimit against the same presentation.  At tolerance zero the bridges
+collapse and the constructions are the classical quotient colimits; at
+infinite tolerance they degenerate to plain coproducts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .budgets import DEFAULT_STAGE_POINT_BUDGET
 from .errors import BudgetExceeded, InvalidMorphism, MismatchedEndpoints, UsageError
-from .extrat import ZERO, ExtRat, rat
-from .reflect import Reflection, Semimetric, reflect
-from .spaces import MetMap, Space, coproduct, hom_dist
+from .extrat import INF, ZERO, ExtRat, rat
+from .reflect import Semimetric, reflect
+from .spaces import MetMap, Space, coproduct, hom_dist, identity
 
 
-def _bridged(base: Space, bridges) -> Reflection:
-    rows = [list(r) for r in base.dist]
-    for i, j, e in bridges:
-        if i == j:
-            continue
-        if e < rows[i][j]:
-            rows[i][j] = e
-            rows[j][i] = e
-    return reflect(Semimetric(tuple(tuple(r) for r in rows)))
+@dataclass(frozen=True)
+class Presentation:
+    """Pieces and bridges: a bridge (i, x, j, y) puts point x of piece i
+    within eps of point y of piece j."""
+
+    pieces: tuple[Space, ...]
+    bridges: tuple[tuple[int, int, int, int], ...]
+
+    def colimit(self, eps: ExtRat) -> tuple[Space, tuple[MetMap, ...]]:
+        """The apex and one leg per piece: the coproduct of the pieces with
+        every bridge lowered to eps, reflected."""
+        starts = list(accumulate((s.n for s in self.pieces), initial=0))
+        rows = [[INF] * starts[-1] for _ in range(starts[-1])]
+        for s, off in zip(self.pieces, starts):
+            for i, row in enumerate(s.dist):
+                rows[off + i][off:off + s.n] = row
+        for i, x, j, y in self.bridges:
+            p, q = starts[i] + x, starts[j] + y
+            if p != q and eps < rows[p][q]:
+                rows[p][q] = rows[q][p] = eps
+        refl = reflect(Semimetric(rows))
+        proj = refl.projection
+        return refl.space, tuple(
+            MetMap._trusted(s, refl.space, proj[a:b])
+            for s, a, b in zip(self.pieces, starts, starts[1:]))
+
+
+def span_presentation(f: MetMap, g: MetMap) -> Presentation:
+    """B + C with f(a) bridged to g(a), for a span f: A -> B, g: A -> C."""
+    if f.dom != g.dom:
+        raise MismatchedEndpoints("a span needs a shared domain")
+    return Presentation((f.cod, g.cod), tuple((0, x, 1, y) for x, y in zip(f.map, g.map)))
+
+
+def pair_presentation(f: MetMap, g: MetMap) -> Presentation:
+    """B with f(a) bridged to g(a), for a parallel pair f, g: A -> B."""
+    if f.dom != g.dom or f.cod != g.cod:
+        raise MismatchedEndpoints("a parallel pair needs shared endpoints")
+    return Presentation((f.cod,), tuple((0, x, 0, y) for x, y in zip(f.map, g.map)))
+
+
+def diagram_presentation(diagram: FinDiagram) -> Presentation:
+    """The diagram's objects with x bridged to m(x) for each arrow (i, j, m)."""
+    return Presentation(diagram.objects, tuple(
+        (i, x, j, y) for i, j, m in diagram.arrows for x, y in enumerate(m.map)))
 
 
 @dataclass(frozen=True)
@@ -43,23 +83,9 @@ class EpsPushoutResult:
 
 def eps_pushout(f: MetMap, g: MetMap, eps) -> EpsPushoutResult:
     """Universal eps-commuting cospan under the span (f, g)."""
-    if f.dom != g.dom:
-        raise MismatchedEndpoints("a span needs a shared domain")
     e = rat(eps)
-    B, C = f.cod, g.cod
-    cop = coproduct((B, C))
-    off = B.n
-    refl = _bridged(
-        cop.space,
-        ((f.map[a], off + g.map[a], e) for a in range(f.dom.n)),
-    )
-    proj = refl.projection
-    return EpsPushoutResult(
-        apex=refl.space,
-        leg_g=MetMap(B, refl.space, proj[:off]),
-        leg_f=MetMap(C, refl.space, proj[off:]),
-        eps=e,
-    )
+    apex, (leg_g, leg_f) = span_presentation(f, g).colimit(e)
+    return EpsPushoutResult(apex, leg_f, leg_g, e)
 
 
 def pushout(f: MetMap, g: MetMap) -> EpsPushoutResult:
@@ -82,12 +108,9 @@ def eps_coequalizer(f: MetMap, g: MetMap, eps) -> EpsCoequalizerResult:
     through it uniquely, because the reflected distance is the largest one
     below the constraints and the apex is exactly the image of the leg.
     """
-    if f.dom != g.dom or f.cod != g.cod:
-        raise MismatchedEndpoints("a parallel pair needs shared endpoints")
     e = rat(eps)
-    B = f.cod
-    refl = _bridged(B, ((f.map[a], g.map[a], e) for a in range(f.dom.n)))
-    return EpsCoequalizerResult(refl.space, MetMap(B, refl.space, refl.projection), e)
+    apex, (leg,) = pair_presentation(f, g).colimit(e)
+    return EpsCoequalizerResult(apex, leg, e)
 
 
 @dataclass(frozen=True)
@@ -125,20 +148,8 @@ def eps_colimit(diagram: FinDiagram, eps, *, max_points: int | None = None) -> E
     total = sum(s.n for s in diagram.objects)
     if total > cap:
         raise BudgetExceeded(f"diagram has {total} points (budget {cap})")
-    cop = coproduct(diagram.objects)
-    offs = [inj.map[0] if inj.dom.n else 0 for inj in cop.injections]
-    bridges = []
-    for i, j, m in diagram.arrows:
-        oi, oj = offs[i], offs[j]
-        for x in range(diagram.objects[i].n):
-            p, q = oi + x, oj + m.map[x]
-            if p != q:
-                bridges.append((p, q, e))
-    refl = _bridged(cop.space, bridges)
-    legs = tuple(
-        inj.then(refl.as_map(cop.space)) for inj in cop.injections
-    )
-    return EpsColimitResult(refl.space, legs, e)
+    apex, legs = diagram_presentation(diagram).colimit(e)
+    return EpsColimitResult(apex, legs, e)
 
 
 def comparison(diagram: FinDiagram, eps, delta) -> MetMap:
@@ -167,7 +178,8 @@ class CylinderResult:
 
 
 def cylinder(space: Space, eps) -> CylinderResult:
-    """Both copies of each point moved to distance eps, then reflected.
+    """The eps-pushout of (id, id): both copies of each point moved to
+    distance eps, then reflected.
 
     Cross distances come out as d(x', y'') = d(x, y) + eps, so a pair of
     maps (f, g) extends from K+K over the cylinder exactly when f and g are
@@ -184,10 +196,9 @@ def clear_cache() -> None:
 
 @lru_cache(maxsize=256)
 def _cylinder(space: Space, e: ExtRat) -> CylinderResult:
-    cop = coproduct((space, space))
-    n = space.n
-    refl = _bridged(cop.space, ((i, n + i, e) for i in range(n)))
-    return CylinderResult(refl.space, refl.as_map(cop.space))
+    apex, (left, right) = span_presentation(identity(space), identity(space)).colimit(e)
+    twice = coproduct((space, space)).space
+    return CylinderResult(apex, MetMap._trusted(twice, apex, left.map + right.map))
 
 
 def cylinder_factorization(f: MetMap, g: MetMap, eps) -> MetMap | None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .budgets import DEFAULT_SPAN_BUDGET, DEFAULT_STAGE_POINT_BUDGET, NodeBudget
 from .canonical import canonical_form
-from .colimits import pushout
+from .colimits import Presentation
 from .errors import BudgetExceeded, MetricatError, MismatchedEndpoints, UsageError
 from .extrat import ZERO, ExtRat, rat
 from .homsearch import automorphisms, hom_set, isometric_fillers, isometry_set
@@ -24,7 +24,6 @@ from .spaces import (
     MetMap,
     Space,
     _axiom_violations,
-    coproduct,
     empty_space,
     is_isometry,
     identity,
@@ -169,7 +168,8 @@ class ChainStage:
 
 
 def chain_step(space: Space, spans, *, max_points: int | None = None):
-    """One wide pushout: glue every span's codomain onto the space.
+    """One wide pushout: glue every span's codomain onto the space, as the
+    colimit at zero of the space and the codomains with u(x) bridged to h(x).
 
     Returns (next_space, k, records) where k is the stage embedding and each
     record carries the span's copy of its codomain inside the new stage.
@@ -185,30 +185,18 @@ def chain_step(space: Space, spans, *, max_points: int | None = None):
         raise BudgetExceeded(
             f"glued stage would start from {total} points (budget {cap})"
         )
-    xs = coproduct(tuple(s.u.dom for s in spans))
-    ys = coproduct(tuple(s.h.cod for s in spans))
-    u_all: list[int] = []
-    h_all: list[int] = []
-    y_offsets: list[int] = []
-    off = 0
-    for s in spans:
-        u_all.extend(s.u.map)
-        h_all.extend(off + p for p in s.h.map)
-        y_offsets.append(off)
-        off += s.h.cod.n
-    f = MetMap(xs.space, space, tuple(u_all))          # <u>: X^ -> K_n
-    g = MetMap(xs.space, ys.space, tuple(h_all))       # ⊔h: X^ -> Y^
-    po = pushout(f, g)
-    k = po.leg_g
+    pieces = (space, *(s.h.cod for s in spans))
+    bridges = tuple((0, x, t, y) for t, s in enumerate(spans, 1)
+                    for x, y in zip(s.u.map, s.h.map))
+    apex, (k, *copies) = Presentation(pieces, bridges).colimit(ZERO)
     if not is_isometry(k):
         raise MetricatError("stage embedding failed to be an isometry")
     records = []
-    for s, off in zip(spans, y_offsets):
-        copy = MetMap(s.h.cod, po.apex, po.leg_f.map[off:off + s.h.cod.n])
+    for s, copy in zip(spans, copies):
         if s.h.then(copy).map != s.u.then(k).map:
             raise MetricatError("span gluing failed to commute")
         records.append(SpanRecord(s, copy))
-    return po.apex, k, tuple(records)
+    return apex, k, tuple(records)
 
 
 def _span_dedup_group(h: MetMap) -> tuple[tuple[int, ...], ...]:

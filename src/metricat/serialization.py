@@ -150,19 +150,24 @@ def map_from_json(node: Any, pointer: str = "", warnings: list[str] | None = Non
 
     dom = endpoint("dom")
     cod = endpoint("cod")
-    arr = _expect_list(obj["map"], f"{pointer}/map")
+    return _map_entries(obj["map"], dom, cod, f"{pointer}/map")
+
+
+def _map_entries(node: Any, dom: Space, cod: Space, pointer: str) -> MetMap:
+    """Decode the point list of a map dom -> cod found at ``pointer``."""
+    arr = _expect_list(node, pointer)
     if len(arr) != dom.n:
-        raise SchemaError(f"map has {len(arr)} entries, expected {dom.n}", f"{pointer}/map")
+        raise SchemaError(f"map has {len(arr)} entries, expected {dom.n}", pointer)
     idx = []
     for i, v in enumerate(arr):
-        v = _expect_int(v, f"{pointer}/map/{i}")
+        v = _expect_int(v, f"{pointer}/{i}")
         if not 0 <= v < cod.n:
-            raise SchemaError(f"index {v} out of range [0, {cod.n})", f"{pointer}/map/{i}")
+            raise SchemaError(f"index {v} out of range [0, {cod.n})", f"{pointer}/{i}")
         idx.append(v)
     try:
         return MetMap(dom, cod, tuple(idx))
     except Exception as exc:
-        raise SchemaError(f"not a valid morphism: {exc}", f"{pointer}/map") from None
+        raise SchemaError(f"not a valid morphism: {exc}", pointer) from None
 
 
 # ---------------------------------------------------------- pairs & diagrams
@@ -214,19 +219,8 @@ def diagram_from_json(node: Any, pointer: str = "",
             raise SchemaError(f"src {src} out of range", f"{ptr}/src")
         if not 0 <= dst < len(objects):
             raise SchemaError(f"dst {dst} out of range", f"{ptr}/dst")
-        arr = _expect_list(entry["map"], f"{ptr}/map")
-        if len(arr) != objects[src].n:
-            raise SchemaError(f"map has {len(arr)} entries, expected {objects[src].n}", f"{ptr}/map")
-        idx = []
-        for i, v in enumerate(arr):
-            v = _expect_int(v, f"{ptr}/map/{i}")
-            if not 0 <= v < objects[dst].n:
-                raise SchemaError(f"index {v} out of range [0, {objects[dst].n})", f"{ptr}/map/{i}")
-            idx.append(v)
-        try:
-            arrows.append((src, dst, MetMap(objects[src], objects[dst], tuple(idx))))
-        except Exception as exc:
-            raise SchemaError(f"not a valid morphism: {exc}", f"{ptr}/map") from None
+        arrows.append((src, dst, _map_entries(entry["map"], objects[src], objects[dst],
+                                              f"{ptr}/map")))
     return FinDiagram(objects, tuple(arrows))
 
 

@@ -7,11 +7,13 @@ points, so corrupted candidates (an extra floating point, a distorted apex)
 are caught as existence or uniqueness failures.  The first counterexample in
 enumeration order is reported, making failures reproducible fixtures.
 
-All three verifiers check one statement: each family of maps c_k: O_k -> T
-with ``d_T(c_i(x), c_j(y)) <= eps`` on every bridge (i, x, j, y) is a
-cocone, and must factor uniquely through the apex.  A pushout of (f, g)
-bridges (0, f(a), 1, g(a)), a coequalizer (0, f(a), 0, g(a)), a colimit
-(i, x, j, m(x)) per arrow.  A cocone is read as the flat tuple of its maps'
+All three verifiers read the construction's bridges from the presentation
+builders of :mod:`metricat.colimits` and check one statement: each family
+of maps c_k: O_k -> T from the pieces with ``d_T(c_i(x), c_j(y)) <= eps``
+on every bridge (i, x, j, y) is a cocone, and must factor uniquely through
+the apex.  The legs must map the pieces into the apex (else
+MismatchedEndpoints) and close every bridge within eps (else a "square"
+failure).  A cocone is read as the flat tuple of its maps'
 values, and every test bounds the T-rank (``Space.ranks``) of the images
 of two positions: a bridge by eps, two positions that pin one apex point by
 rank 0, and the pins of an apex pair by the largest T-rank of their distance.
@@ -52,10 +54,14 @@ from dataclasses import dataclass
 from itertools import accumulate, islice
 
 from .budgets import NodeBudget
-from .colimits import EpsColimitResult, EpsCoequalizerResult, EpsPushoutResult, FinDiagram
-from .extrat import ExtRat
+from .colimits import (
+    EpsColimitResult, EpsCoequalizerResult, EpsPushoutResult, FinDiagram, Presentation,
+    diagram_presentation, pair_presentation, span_presentation,
+)
+from .errors import MismatchedEndpoints
+from .extrat import ZERO, ExtRat
 from .homsearch import _search, hom_set
-from .spaces import MetMap, Space, hom_dist
+from .spaces import MetMap, Space
 
 
 @dataclass(frozen=True)
@@ -298,14 +304,21 @@ class _Join:
                      for arr in (*first_two, *found))
 
 
-def _verify(apex: Space, legs, eps: ExtRat, objects, bridges, targets,
+def _verify(p: Presentation, apex: Space, legs, eps: ExtRat, targets,
             budget: NodeBudget, tried: int = 0) -> VerifyReport:
-    """Check the cocones of ``objects`` under ``bridges`` (i, x, j, y) into
-    each target against the apex and its legs."""
-    a = _Apex(apex, [leg.map for leg in legs], bridges)
+    """Check the cocones of ``p`` into each target against the apex and its
+    legs."""
+    if len(legs) != len(p.pieces) or any(
+            leg.dom != piece or leg.cod != apex for leg, piece in zip(legs, p.pieces)):
+        raise MismatchedEndpoints("the legs must map the pieces into the apex")
+    maps = [leg.map for leg in legs]
+    dist = apex.dist
+    if max((dist[maps[i][x]][maps[j][y]] for i, x, j, y in p.bridges), default=ZERO) > eps:
+        return VerifyReport(False, 0, Counterexample("square", None, tuple(legs), ()))
+    a = _Apex(apex, maps, p.bridges)
     checked = 0
     for target in targets:
-        homs = [hom_set(o, target) for o in objects]
+        homs = [hom_set(o, target) for o in p.pieces]
         join = _Join(target, homs, a, eps, budget, tried)
         # A free apex point has no image in an empty target.
         meds = join.walk(0, bool(a.free) and not target.n)
@@ -320,23 +333,14 @@ def verify_pushout(result: EpsPushoutResult, f: MetMap, g: MetMap,
                    targets, *, max_nodes: int | None = None) -> VerifyReport:
     """Check Def-style universality of a claimed eps-pushout of (f, g)."""
     budget = NodeBudget(max_nodes)
-    square = hom_dist(g.then(result.leg_f), f.then(result.leg_g))
-    if square > result.eps:
-        return VerifyReport(False, 0, Counterexample(
-            "square", None, (result.leg_g, result.leg_f), ()))
-    bridges = [(0, f.map[a], 1, g.map[a]) for a in range(f.dom.n)]
-    return _verify(result.apex, (result.leg_g, result.leg_f), result.eps,
-                   (f.cod, g.cod), bridges, targets, budget)
+    return _verify(span_presentation(f, g), result.apex, (result.leg_g, result.leg_f),
+                   result.eps, targets, budget)
 
 
 def verify_coequalizer(result: EpsCoequalizerResult, f: MetMap, g: MetMap,
                        targets, *, max_nodes: int | None = None) -> VerifyReport:
     budget = NodeBudget(max_nodes)
-    if hom_dist(f.then(result.leg), g.then(result.leg)) > result.eps:
-        return VerifyReport(False, 0, Counterexample(
-            "square", None, (result.leg,), ()))
-    bridges = [(0, f.map[a], 0, g.map[a]) for a in range(f.dom.n)]
-    return _verify(result.apex, (result.leg,), result.eps, (f.cod,), bridges,
+    return _verify(pair_presentation(f, g), result.apex, (result.leg,), result.eps,
                    targets, budget)
 
 
@@ -344,10 +348,5 @@ def verify_colimit(result: EpsColimitResult, diagram: FinDiagram,
                    targets, *, max_nodes: int | None = None) -> VerifyReport:
     """Check universality against every eps-commuting cocone."""
     budget = NodeBudget(max_nodes)
-    for i, j, m in diagram.arrows:
-        if hom_dist(result.legs[i], m.then(result.legs[j])) > result.eps:
-            return VerifyReport(False, 0, Counterexample(
-                "square", None, tuple(result.legs), ()))
-    bridges = [(i, x, j, y) for i, j, m in diagram.arrows for x, y in enumerate(m.map)]
-    return _verify(result.apex, result.legs, result.eps, diagram.objects, bridges,
+    return _verify(diagram_presentation(diagram), result.apex, result.legs, result.eps,
                    targets, budget, tried=1)

@@ -413,6 +413,27 @@ class TestVerify:
         assert not report.ok
         assert report.counterexample.kind == "existence"
 
+    def test_pushout_legs_outside_the_apex_raise(self):
+        p = one_point()
+        res = eps_pushout(identity(p), identity(p), 1)
+        bad = EpsPushoutResult(one_point(), res.leg_f, res.leg_g, res.eps)
+        with pytest.raises(MismatchedEndpoints):
+            verify_pushout(bad, identity(p), identity(p), small_targets())
+
+    def test_coequalizer_leg_outside_the_apex_raises(self):
+        f = identity(two_point(1))
+        res = eps_coequalizer(f, f, 1)
+        bad = EpsCoequalizerResult(one_point(), res.leg, res.eps)
+        with pytest.raises(MismatchedEndpoints):
+            verify_coequalizer(bad, f, f, small_targets())
+
+    @pytest.mark.parametrize("legs", [(identity(two_point(1)),), ()])
+    def test_colimit_legs_that_miss_the_apex_raise(self, legs):
+        bad = EpsColimitResult(one_point(), legs, rat(1))
+        diagram = FinDiagram((two_point(1),), ())
+        with pytest.raises(MismatchedEndpoints):
+            verify_colimit(bad, diagram, [one_point(), two_point(1)])
+
 
 def _as_brute(report):
     """A VerifyReport in the shape ``verify_brute`` returns."""

@@ -1,10 +1,12 @@
 import os
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 
 from metricat import rundir
 from metricat.canonical import are_isomorphic
+from metricat.colimits import pushout
 from metricat.errors import BudgetExceeded, SchemaError, UsageError
 from metricat.extrat import INF, rat
 from metricat.fraisse import (
@@ -30,6 +32,7 @@ from metricat.rundir import (
 )
 from metricat.spaces import (
     MetMap,
+    coproduct,
     empty_space,
     identity,
     is_isometry,
@@ -160,6 +163,25 @@ class TestChainStep:
         u = MetMap(empty_space(), one_point(), ())
         with pytest.raises(BudgetExceeded):
             chain_step(one_point(), (Span(u, h),) * 3, max_points=5)
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_matches_the_pushout_of_two_coproducts(self, policy):
+        # Each step recomputed as the pushout of <u>: X^ -> K_n and
+        # ⊔h: X^ -> Y^, where X^ and Y^ are the coproducts of the span
+        # domains and codomains.
+        stages, _ = build_chain(GRID_12, 2, policy)
+        for stage, nxt in zip(stages, stages[1:]):
+            spans = [r.span for r in stage.span_log]
+            xs = coproduct(s.u.dom for s in spans)
+            ys = coproduct(s.h.cod for s in spans)
+            starts = list(accumulate((s.h.cod.n for s in spans), initial=0))
+            u_all = tuple(p for s in spans for p in s.u.map)
+            h_all = tuple(off + p for s, off in zip(spans, starts) for p in s.h.map)
+            po = pushout(MetMap(xs.space, stage.space, u_all), MetMap(xs.space, ys.space, h_all))
+            assert po.apex.dist == nxt.space.dist
+            assert po.leg_g.map == stage.embedding.map
+            assert [r.copy.map for r in stage.span_log] == [
+                po.leg_f.map[a:b] for a, b in zip(starts, starts[1:])]
 
 
 class TestGatherSpans:

@@ -200,12 +200,17 @@ class TestDiagramDocuments:
             diagram_from_json(doc)
         assert err.value.pointer == "/arrows/0/src"
 
-    def test_arrow_entry_pointer(self):
-        doc = diagram_to_json(self.diagram())
-        doc["arrows"][0]["map"] = [5]
-        with pytest.raises(SchemaError) as err:
+    @pytest.mark.parametrize("objects, entries, pointer, message", [
+        ((one_point(), two_point(1)), [5], "/arrows/0/map/0", "index 5 out of range"),
+        ((one_point(), two_point(1)), [0, 1], "/arrows/0/map", "map has 2 entries"),
+        ((two_point(1), two_point(2)), [0, 1], "/arrows/0/map", "not a valid morphism"),
+    ], ids=["index-out-of-range", "wrong-length", "expanding"])
+    def test_arrow_entry_pointer(self, objects, entries, pointer, message):
+        doc = diagram_to_json(FinDiagram(objects, ()))
+        doc["arrows"] = [{"src": 0, "dst": 1, "map": entries}]
+        with pytest.raises(SchemaError, match=message) as err:
             diagram_from_json(doc)
-        assert err.value.pointer == "/arrows/0/map/0"
+        assert err.value.pointer == pointer
 
 
 class TestFamilyDocuments:
