@@ -410,16 +410,15 @@ def laws():
 @click.option("--seed", type=int, default=0)
 @click.option("--trials", type=COUNT, default=40)
 @click.option("--budget", "max_points", type=COUNT, default=4,
-              help="Maximum points per corpus space.")
-@click.option("--workers", type=int, default=None)
+              help="Accepted and ignored: the laws draw from fixed corpora "
+                   "of at most 3 points.")
+@click.option("--workers", type=click.IntRange(min=1), default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @guarded
 def laws_run(seed, trials, max_points, workers, out):
-    from .corpus import CorpusConfig
     from .laws import law_harness, law_report_to_json
 
-    cfg = CorpusConfig(max_points=max_points)
-    report = law_harness(cfg, seed=seed, trials=trials, workers=workers)
+    report = law_harness(seed=seed, trials=trials, workers=workers)
     _emit(law_report_to_json(report), out)
     return 0 if report.ok else 1
 

@@ -27,7 +27,6 @@ class CorpusConfig:
 
     max_points: int = 4
     grid: tuple[ExtRat, ...] = DEFAULT_GRID
-    eps_values: tuple[ExtRat, ...] = (rat("1/2"), rat(1), rat("3/2"), rat(2))
     allow_empty: bool = False
 
 
@@ -71,16 +70,6 @@ def random_map(rng: random.Random, dom: Space, cod: Space) -> MetMap | None:
     if not maps:
         return None
     return maps[rng.randrange(len(maps))]
-
-
-def random_morphism(rng: random.Random, cfg: CorpusConfig = CorpusConfig()) -> MetMap:
-    for _ in range(100):
-        dom = random_space(rng, cfg)
-        cod = random_space(rng, cfg)
-        m = random_map(rng, dom, cod)
-        if m is not None:
-            return m
-    return identity(one_point())
 
 
 def random_span(rng: random.Random, cfg: CorpusConfig = CorpusConfig()):

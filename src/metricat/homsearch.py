@@ -12,11 +12,10 @@ from the image of point 0, or for point 0 from the lowest forced point.
 Each candidate tried costs one budget node, whether it came from the index
 or from the whole codomain.  A cached hom-set or isometry set keeps the
 nodes its search spent and a cache hit charges them again, so a budget's
-outcome does not depend on the cache; calls with ``max_nodes`` bypass it.
-The translation of a pair's distances into ranks is memoized per
-(domain, codomain, relation) in a bounded LRU for the searches whose
-results are not cached: filler searches and calls with ``max_nodes``.
-Mediator searches bypass it, as their apex lives for one verification.
+outcome does not depend on the cache.  The translation of a pair's
+distances into ranks is memoized per (domain, codomain, relation) in a
+bounded LRU for filler searches, whose results are not cached.  Mediator
+searches bypass it, as their apex lives for one verification.
 """
 
 from __future__ import annotations
@@ -112,15 +111,14 @@ def _wrap(dom: Space, cod: Space, tuples) -> tuple[MetMap, ...]:
 def _enumerate(cache: _Cache, dom: Space, cod: Space, exact: bool,
                max_nodes: int | None) -> tuple[MetMap, ...]:
     budget = NodeBudget(max_nodes)
-    hit = cache.get((dom, cod)) if max_nodes is None else None
+    hit = cache.get((dom, cod))
     if hit is not None:
         budget.spend(hit[1])
         return hit[0]
-    # A result that goes into the cache is searched for once: its rank
-    # translation would never be looked up again.
-    maps = _wrap(dom, cod, _search(dom, cod, exact, budget, memo=max_nodes is not None))
-    if max_nodes is None:
-        cache[(dom, cod)] = (maps, budget.used)
+    # A cached result is searched for once: its rank translation would
+    # never be looked up again.
+    maps = _wrap(dom, cod, _search(dom, cod, exact, budget, memo=False))
+    cache[(dom, cod)] = (maps, budget.used)
     return maps
 
 

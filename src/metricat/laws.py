@@ -1,9 +1,15 @@
-"""Registry of algebraic laws checked over seeded random corpora.
+"""Registry of algebraic laws checked over seeded random instances.
 
-Each law is an implication evaluated per instance: a trial either HELD
-(premise and conclusion both true), was VACUOUS (premise false, nothing
-tested), or FAILED (premise true, conclusion false).  A single failure is a
-counterexample and fails the whole report.
+A law is an implication, premise ⇒ conclusion, over an instance that it
+draws at random.  A trial either HELD (premise and conclusion both true),
+was VACUOUS (no instance drawn, or the premise false: nothing tested), or
+FAILED (premise true, conclusion false).  The instance of a failed trial is
+its counterexample, and a single failure fails the whole report.
+
+``_implication`` builds a law from a draw, which returns the instance as
+named values, and two predicates over those values; the counterexample is
+the instance itself.  The four laws whose counterexamples carry computed
+values are written out by hand.
 
 Law identifiers name the behavior they check; the harness derives each law's
 RNG stream from (seed, law id), so reports are identical regardless of
@@ -31,8 +37,12 @@ VACUOUS = "vacuous"
 FAILED = "failed"
 
 _EPS = (rat("1/2"), rat(1), rat("3/2"), rat(2))
+_GRID = (rat("1/2"), rat(1))
 _SMALL = CorpusConfig(max_points=3)
 _TINY = CorpusConfig(max_points=2)
+
+Case = dict[str, Any]
+Outcome = tuple[str, dict | None]
 
 
 def _draw_eps(rng: random.Random) -> ExtRat:
@@ -51,6 +61,11 @@ def _draw_map(rng: random.Random, dom: Space, cod: Space) -> MetMap:
     return maps[rng.randrange(len(maps))]
 
 
+def _draw_near(rng: random.Random, maps, center: MetMap, e: ExtRat) -> MetMap:
+    near = [m for m in maps if hom_dist(center, m) <= e]
+    return near[rng.randrange(len(near))]
+
+
 def _draw_composable(rng: random.Random) -> tuple[MetMap, MetMap]:
     """f: K -> L, g: L -> M; identity draws keep premise rates useful."""
     K = random_space(rng, _SMALL)
@@ -59,6 +74,12 @@ def _draw_composable(rng: random.Random) -> tuple[MetMap, MetMap]:
     f = identity(K) if (L is K and rng.random() < 0.5) else _draw_map(rng, K, L)
     g = identity(L) if (M is L and rng.random() < 0.5) else _draw_map(rng, L, M)
     return f, g
+
+
+def _draw_test_map(rng: random.Random) -> MetMap:
+    A = random_space(rng, _TINY)
+    B = random_space(rng, _TINY)
+    return _draw_map(rng, A, B)
 
 
 def _ce(**kw: Any) -> dict:
@@ -77,173 +98,82 @@ def _ce(**kw: Any) -> dict:
     return out
 
 
-# ----------------------------------------------------------------- purity
+def _implication(draw: Callable[[random.Random], Case | None],
+                 premise: Callable[..., bool],
+                 conclusion: Callable[..., bool]) -> Callable[[random.Random], Outcome]:
+    """The law premise ⇒ conclusion over the instance that ``draw`` returns."""
+    def law(rng: random.Random) -> Outcome:
+        case = draw(rng)
+        if case is None or not premise(**case):
+            return VACUOUS, None
+        if conclusion(**case):
+            return HELD, None
+        return FAILED, _ce(**case)
+    return law
 
-def _law_pure_composes(rng, _):
+
+# ------------------------------------------------------------------ draws
+# Each returns its instance in the order the counterexample lists it, which
+# is not always the order of the draws.
+
+def _map_case(rng: random.Random) -> Case:
+    return {"f": _draw_composable(rng)[0], "eps": _draw_eps(rng), "family": _draw_family(rng)}
+
+
+def _pair_case(rng: random.Random) -> Case:
     f, g = _draw_composable(rng)
-    e, fam = _draw_eps(rng), _draw_family(rng)
-    if not purity(f, e, "pure", fam)[0] or not purity(g, e, "pure", fam)[0]:
-        return VACUOUS, None
-    if purity(f.then(g), e, "pure", fam)[0]:
-        return HELD, None
-    return FAILED, _ce(f=f, g=g, eps=e, family=fam)
+    return {"f": f, "g": g, "eps": _draw_eps(rng), "family": _draw_family(rng)}
 
 
-def _law_pure_left_factor(rng, _):
+def _grid_case(rng: random.Random) -> Case:
     f, g = _draw_composable(rng)
-    e, fam = _draw_eps(rng), _draw_family(rng)
-    if not purity(f.then(g), e, "pure", fam)[0]:
-        return VACUOUS, None
-    if purity(f, e, "pure", fam)[0]:
-        return HELD, None
-    return FAILED, _ce(f=f, g=g, eps=e, family=fam)
+    return {"f": f, "g": g, "family": _draw_family(rng)}
 
 
-def _law_split_mono_is_pure(rng, _):
-    drawn = random_split_mono(rng, _SMALL)
-    if drawn is None:
-        return VACUOUS, None
-    s, p = drawn
-    e, fam = _draw_eps(rng), _draw_family(rng)
-    if purity(s, e, "pure", fam)[0]:
-        return HELD, None
-    return FAILED, _ce(section=s, retraction=p, eps=e, family=fam)
-
-
-def _law_pure_implies_weak(rng, _):
-    f, _g = _draw_composable(rng)
-    e, fam = _draw_eps(rng), _draw_family(rng)
-    if not purity(f, e, "pure", fam)[0]:
-        return VACUOUS, None
-    if purity(f, e, "weak", fam)[0]:
-        return HELD, None
-    return FAILED, _ce(f=f, eps=e, family=fam)
-
-
-def _law_pure_implies_bare(rng, _):
-    f, _g = _draw_composable(rng)
-    e, fam = _draw_eps(rng), _draw_family(rng)
-    if not purity(f, e, "pure", fam)[0]:
-        return VACUOUS, None
-    if purity(f, e, "bare", fam)[0]:
-        return HELD, None
-    return FAILED, _ce(f=f, eps=e, family=fam)
-
-
-def _law_weak_implies_bare_at_double(rng, _):
-    f, _g = _draw_composable(rng)
-    e, fam = _draw_eps(rng), _draw_family(rng)
-    if not purity(f, e, "weak", fam)[0]:
-        return VACUOUS, None
-    if purity(f, 2 * e, "bare", fam)[0]:
-        return HELD, None
-    return FAILED, _ce(f=f, eps=e, family=fam)
-
-
-def _law_purity_family_monotone(rng, _):
-    f, _g = _draw_composable(rng)
-    e = _draw_eps(rng)
-    fam = _draw_family(rng)
+def _family_case(rng: random.Random) -> Case:
+    f, e, family = _map_case(rng).values()
     extra = random_space(rng, _TINY)
-    larger = TestFamily.of(fam.spaces + (extra,))
     variant = rng.choice(("pure", "weak", "bare"))
-    if not purity(f, e, variant, larger)[0]:
-        return VACUOUS, None
-    if purity(f, e, variant, fam)[0]:
-        return HELD, None
-    return FAILED, _ce(f=f, eps=e, variant=variant, family=fam, extra=extra)
+    return {"f": f, "eps": e, "variant": variant, "family": family, "extra": extra}
 
 
-def _law_gridwise_pure_composes(rng, _):
-    f, g = _draw_composable(rng)
-    fam = _draw_family(rng)
-    grid = (rat("1/2"), rat(1))
-    if not all(purity(f, e, "pure", fam)[0] and purity(g, e, "pure", fam)[0] for e in grid):
-        return VACUOUS, None
-    if all(purity(f.then(g), e, "pure", fam)[0] for e in grid):
-        return HELD, None
-    return FAILED, _ce(f=f, g=g, family=fam)
+def _section_case(rng: random.Random) -> Case | None:
+    if (drawn := random_split_mono(rng, _SMALL)) is None:
+        return None
+    section, retraction = drawn
+    return {"section": section, "retraction": retraction,
+            "eps": _draw_eps(rng), "family": _draw_family(rng)}
 
 
-def _law_gridwise_pure_left_factor(rng, _):
-    f, g = _draw_composable(rng)
-    fam = _draw_family(rng)
-    grid = (rat("1/2"), rat(1))
-    if not all(purity(f.then(g), e, "pure", fam)[0] for e in grid):
-        return VACUOUS, None
-    if all(purity(f, e, "pure", fam)[0] for e in grid):
-        return HELD, None
-    return FAILED, _ce(f=f, g=g, family=fam)
+def _split_section_case(rng: random.Random) -> Case | None:
+    if (drawn := random_split_mono(rng, _SMALL)) is None:
+        return None
+    return {"section": drawn[0], "eps": rng.choice((ZERO,) + _EPS)}
 
 
-# ------------------------------------------------------- splitness and mono
-
-def _law_split_mono_is_eps_split(rng, _):
-    drawn = random_split_mono(rng, _SMALL)
-    if drawn is None:
-        return VACUOUS, None
-    s, _p = drawn
-    e = rng.choice((ZERO,) + _EPS)
-    if is_eps_split(s, e)[0]:
-        return HELD, None
-    return FAILED, _ce(section=s, eps=e)
+def _retract_case(rng: random.Random) -> Case | None:
+    if (drawn := random_split_mono(rng, _SMALL)) is None:
+        return None
+    section, e = drawn[0], _draw_eps(rng)
+    return {"retract": section.dom, "ambient": section.cod, "f": _draw_test_map(rng), "eps": e}
 
 
-def _law_eps_split_implies_weak_pure(rng, _):
-    f, _g = _draw_composable(rng)
-    e, fam = _draw_eps(rng), _draw_family(rng)
-    if not is_eps_split(f, e)[0]:
-        return VACUOUS, None
-    if purity(f, e, "weak", fam)[0]:
-        return HELD, None
-    return FAILED, _ce(f=f, eps=e, family=fam)
+def _collapsed(f: MetMap) -> list[tuple[int, int]]:
+    n = f.dom.n
+    return [(a, b) for a in range(n) for b in range(a + 1, n) if f.map[a] == f.map[b]]
 
 
-def _law_eps_split_implies_bare_pure(rng, _):
-    f, _g = _draw_composable(rng)
-    e, fam = _draw_eps(rng), _draw_family(rng)
-    if not is_eps_split(f, e)[0]:
-        return VACUOUS, None
-    if purity(f, e, "bare", fam)[0]:
-        return HELD, None
-    return FAILED, _ce(f=f, eps=e, family=fam)
-
-
-def _law_eps_split_implies_double_mono(rng, _):
-    f, _g = _draw_composable(rng)
-    e, fam = _draw_eps(rng), _draw_family(rng)
-    if not is_eps_split(f, e)[0]:
-        return VACUOUS, None
-    if is_eps_mono(f, 2 * e, fam)[0]:
-        return HELD, None
-    return FAILED, _ce(f=f, eps=e, family=fam)
-
-
-def _law_barely_pure_implies_double_mono(rng, _):
-    f, _g = _draw_composable(rng)
-    e = _draw_eps(rng)
-    K = f.dom
-    collapsed = [
-        (a, b) for a in range(K.n) for b in range(a + 1, K.n)
-        if f.map[a] == f.map[b]
-    ]
-    if not collapsed:
-        return VACUOUS, None
+def _collapse_case(rng: random.Random) -> Case | None:
+    f, e = _draw_composable(rng)[0], _draw_eps(rng)
+    gaps = [f.dom.d(a, b) for a, b in _collapsed(f)]
+    if not gaps:
+        return None
     # probes: the one-point space and a two-point space per collapsed gap
-    probes = [one_point()]
-    for a, b in collapsed:
-        d = K.d(a, b)
-        probes.append(validate_space([[ZERO, d], [d, ZERO]]))
-    fam = TestFamily.of(probes)
-    if not purity(f, e, "bare", fam)[0]:
-        return VACUOUS, None
-    bound = 2 * e
-    if all(K.d(a, b) <= bound for a, b in collapsed):
-        return HELD, None
-    return FAILED, _ce(f=f, eps=e, family=fam)
+    probes = [one_point()] + [validate_space([[ZERO, d], [d, ZERO]]) for d in gaps]
+    return {"f": f, "eps": e, "family": TestFamily.of(probes)}
 
 
-def _law_collapse_triple_verdicts(rng, _):
+def _triple_case(rng: random.Random) -> Case:
     e = _draw_eps(rng)
     double = 2 * e
     X = validate_space([
@@ -251,95 +181,104 @@ def _law_collapse_triple_verdicts(rng, _):
         [e, ZERO, e],
         [double, e, ZERO],
     ])
-    f = MetMap(X, one_point(), (0, 0, 0))
-    probes = TestFamily.of([one_point()])
-    ok = (
-        is_eps_split(f, e)[0]
-        and not is_eps_mono(f, e, probes)[0]
-        and is_eps_mono(f, double, probes)[0]
-    )
-    if ok:
-        return HELD, None
-    return FAILED, _ce(f=f, eps=e)
+    return {"f": MetMap(X, one_point(), (0, 0, 0)), "eps": e}
 
 
-# -------------------------------------------------------- homotopy transfer
-
-def _draw_nearby_pair(rng, e: ExtRat) -> tuple[MetMap, MetMap] | None:
-    K = random_space(rng, _SMALL)
-    L = random_space(rng, _SMALL)
-    maps = hom_set(K, L)
+def _nearby_case(rng: random.Random) -> Case:
+    e, family = _draw_eps(rng), _draw_family(rng)
+    maps = hom_set(random_space(rng, _SMALL), random_space(rng, _SMALL))
     f = maps[rng.randrange(len(maps))]
-    near = [m for m in maps if hom_dist(f, m) <= e]
-    return f, near[rng.randrange(len(near))]
+    return {"f": f, "nearby": _draw_near(rng, maps, f, e), "eps": e, "family": family}
 
 
-def _law_homotopy_transfer_weak(rng, _):
-    e, fam = _draw_eps(rng), _draw_family(rng)
-    f, f2 = _draw_nearby_pair(rng, e)
-    if not purity(f, 2 * e, "pure", fam)[0]:
-        return VACUOUS, None
-    if purity(f2, e, "weak", fam)[0]:
-        return HELD, None
-    return FAILED, _ce(f=f, nearby=f2, eps=e, family=fam)
+def _near_factor_case(rng: random.Random) -> Case:
+    f, g, e, family = _pair_case(rng).values()
+    h = _draw_near(rng, hom_set(f.dom, g.cod), f.then(g), e)
+    return {"f": f, "g": g, "h": h, "eps": e, "family": family}
 
 
-def _law_homotopy_transfer_bare(rng, _):
-    e, fam = _draw_eps(rng), _draw_family(rng)
-    f, f2 = _draw_nearby_pair(rng, e)
-    if not purity(f, e, "pure", fam)[0]:
-        return VACUOUS, None
-    if purity(f2, e, "bare", fam)[0]:
-        return HELD, None
-    return FAILED, _ce(f=f, nearby=f2, eps=e, family=fam)
+def _bounds(rng: random.Random, top: tuple[ExtRat, ...] = (INF,)) -> Case:
+    """Tolerances eps_low <= eps_high, with ``top`` among the upper choices."""
+    lo, hi = sorted((_draw_eps(rng), rng.choice(_EPS + top)))
+    return {"eps_low": lo, "eps_high": hi}
 
 
-def _law_near_factor_weak(rng, _):
-    f, g = _draw_composable(rng)
-    e, fam = _draw_eps(rng), _draw_family(rng)
-    composite = f.then(g)
-    near = [m for m in hom_set(f.dom, g.cod) if hom_dist(composite, m) <= e]
-    h = near[rng.randrange(len(near))]
-    if not purity(h, 2 * e, "pure", fam)[0]:
-        return VACUOUS, None
-    if purity(f, e, "weak", fam)[0]:
-        return HELD, None
-    return FAILED, _ce(f=f, g=g, h=h, eps=e, family=fam)
+def _bounded_case(top: tuple[ExtRat, ...]) -> Callable[[random.Random], Case]:
+    def draw(rng: random.Random) -> Case:
+        f, family = _draw_composable(rng)[0], _draw_family(rng)
+        return {"f": f, **_bounds(rng, top), "family": family}
+    return draw
 
 
-def _law_near_factor_bare(rng, _):
-    f, g = _draw_composable(rng)
-    e, fam = _draw_eps(rng), _draw_family(rng)
-    composite = f.then(g)
-    near = [m for m in hom_set(f.dom, g.cod) if hom_dist(composite, m) <= e]
-    h = near[rng.randrange(len(near))]
-    if not purity(h, e, "pure", fam)[0]:
-        return VACUOUS, None
-    if purity(f, e, "bare", fam)[0]:
-        return HELD, None
-    return FAILED, _ce(f=f, g=g, h=h, eps=e, family=fam)
+# ------------------------------------------------------------- predicates
+# ``of`` names the map tested, or computes it from the instance; ``at``
+# names the tolerance, scaled by ``times``.
+
+def _then(case: Case) -> MetMap:
+    return case["f"].then(case["g"])
 
 
-# ------------------------------------------------------------- injectivity
-
-def _draw_test_map(rng) -> MetMap:
-    A = random_space(rng, _TINY)
-    B = random_space(rng, _TINY)
-    return _draw_map(rng, A, B)
+def _tol(case: Case, at: str, times: int) -> ExtRat:
+    return case[at] if times == 1 else times * case[at]
 
 
-def _law_injectivity_eps_monotone(rng, _):
-    K = random_space(rng, _SMALL)
-    f = _draw_test_map(rng)
-    lo, hi = sorted((_draw_eps(rng), rng.choice(_EPS + (INF,))))
-    if not is_eps_injective(K, f, lo)[0]:
-        return VACUOUS, None
-    if is_eps_injective(K, f, hi)[0]:
-        return HELD, None
-    return FAILED, _ce(subject=K, f=f, eps_low=lo, eps_high=hi)
+def _pure(variant: str, times: int = 1, of: Any = "f", at: str = "eps"):
+    def holds(**case) -> bool:
+        f = of(case) if callable(of) else case[of]
+        return purity(f, _tol(case, at, times), variant, case["family"])[0]
+    return holds
 
 
-def _law_inf_injectivity_via_hom_emptiness(rng, _):
+def _split(of: str = "f", at: str = "eps"):
+    return lambda **case: is_eps_split(case[of], case[at])[0]
+
+
+def _mono(times: int = 1, at: str = "eps"):
+    return lambda **case: is_eps_mono(case["f"], _tol(case, at, times), case["family"])[0]
+
+
+def _injective(subject: str = "subject", at: str = "eps"):
+    return lambda **case: is_eps_injective(case[subject], case["f"], case[at])[0]
+
+
+def _both(p, q):
+    return lambda **case: p(**case) and q(**case)
+
+
+def _gridwise(p):
+    """``p`` at every tolerance of the grid."""
+    return lambda **case: all(p(**case, eps=e) for e in _GRID)
+
+
+def _always(**_) -> bool:
+    return True
+
+
+def _gaps_within_double(f: MetMap, eps: ExtRat, **_) -> bool:
+    bound = 2 * eps
+    return all(f.dom.d(a, b) <= bound for a, b in _collapsed(f))
+
+
+def _collapse_verdicts(f: MetMap, eps: ExtRat) -> bool:
+    probes = TestFamily.of([one_point()])
+    return (
+        is_eps_split(f, eps)[0]
+        and not is_eps_mono(f, eps, probes)[0]
+        and is_eps_mono(f, 2 * eps, probes)[0]
+    )
+
+
+def _larger_family_purity(f, eps, variant, family, extra) -> bool:
+    return purity(f, eps, variant, TestFamily.of(family.spaces + (extra,)))[0]
+
+
+def _family_purity(f, eps, variant, family, **_) -> bool:
+    return purity(f, eps, variant, family)[0]
+
+
+# ------------------------------------------------------- hand-written laws
+
+def _law_inf_injectivity_via_hom_emptiness(rng: random.Random) -> Outcome:
     cfg = CorpusConfig(max_points=2, allow_empty=True)
     K = random_space(rng, cfg)
     A = random_space(rng, cfg)
@@ -355,7 +294,7 @@ def _law_inf_injectivity_via_hom_emptiness(rng, _):
     return FAILED, _ce(subject=K, f=f, tester=tester, direct=direct)
 
 
-def _law_injectives_closed_under_products(rng, _):
+def _law_injectives_closed_under_products(rng: random.Random) -> Outcome:
     K1 = random_space(rng, _TINY)
     K2 = random_space(rng, _TINY)
     e = _draw_eps(rng)
@@ -368,24 +307,7 @@ def _law_injectives_closed_under_products(rng, _):
     return FAILED, _ce(k1=K1, k2=K2, eps=e, tests=[map_to_json(t) for t in tests])
 
 
-def _law_injectives_closed_under_retracts(rng, _):
-    drawn = random_split_mono(rng, _SMALL)
-    if drawn is None:
-        return VACUOUS, None
-    s, _p = drawn
-    K, L = s.dom, s.cod
-    e = _draw_eps(rng)
-    f = _draw_test_map(rng)
-    if not is_eps_injective(L, f, e)[0]:
-        return VACUOUS, None
-    if is_eps_injective(K, f, e)[0]:
-        return HELD, None
-    return FAILED, _ce(retract=K, ambient=L, f=f, eps=e)
-
-
-# -------------------------------------------------- gluing and extensions
-
-def _law_bridged_leg_strict_extension(rng, _):
+def _law_bridged_leg_strict_extension(rng: random.Random) -> Outcome:
     A = random_space(rng, _TINY)
     B = random_space(rng, _TINY)
     C = random_space(rng, _TINY)
@@ -401,7 +323,7 @@ def _law_bridged_leg_strict_extension(rng, _):
     return FAILED, _ce(f=f, g=g, subject=K, eps=e, apex=po.apex)
 
 
-def _law_dangling_copy_extension_equivalence(rng, _):
+def _law_dangling_copy_extension_equivalence(rng: random.Random) -> Outcome:
     A = random_space(rng, _TINY)
     B = random_space(rng, _TINY)
     f = _draw_map(rng, A, B)
@@ -415,69 +337,57 @@ def _law_dangling_copy_extension_equivalence(rng, _):
     return FAILED, _ce(f=f, subject=K, eps=e, tolerant=lhs, strict_on_glued=rhs)
 
 
-# -------------------------------------------------- monotone tolerance laws
-
-def _law_splitness_eps_monotone(rng, _):
-    f, _g = _draw_composable(rng)
-    lo, hi = sorted((_draw_eps(rng), rng.choice(_EPS + (INF,))))
-    if not is_eps_split(f, lo)[0]:
-        return VACUOUS, None
-    if is_eps_split(f, hi)[0]:
-        return HELD, None
-    return FAILED, _ce(f=f, eps_low=lo, eps_high=hi)
-
-
-def _law_bare_purity_eps_monotone(rng, _):
-    f, _g = _draw_composable(rng)
-    fam = _draw_family(rng)
-    lo, hi = sorted((_draw_eps(rng), _draw_eps(rng)))
-    if not purity(f, lo, "bare", fam)[0]:
-        return VACUOUS, None
-    if purity(f, hi, "bare", fam)[0]:
-        return HELD, None
-    return FAILED, _ce(f=f, eps_low=lo, eps_high=hi, family=fam)
-
-
-def _law_mono_eps_monotone(rng, _):
-    f, _g = _draw_composable(rng)
-    fam = _draw_family(rng)
-    lo, hi = sorted((_draw_eps(rng), rng.choice(_EPS + (INF,))))
-    if not is_eps_mono(f, lo, fam)[0]:
-        return VACUOUS, None
-    if is_eps_mono(f, hi, fam)[0]:
-        return HELD, None
-    return FAILED, _ce(f=f, eps_low=lo, eps_high=hi, family=fam)
-
-
-LAWS: dict[str, Callable[[random.Random, CorpusConfig], tuple[str, dict | None]]] = {
-    "pure-composes": _law_pure_composes,
-    "pure-left-factor": _law_pure_left_factor,
-    "split-mono-is-pure": _law_split_mono_is_pure,
-    "pure-implies-weak": _law_pure_implies_weak,
-    "pure-implies-bare": _law_pure_implies_bare,
-    "weak-implies-bare-at-double": _law_weak_implies_bare_at_double,
-    "purity-family-monotone": _law_purity_family_monotone,
-    "gridwise-pure-composes": _law_gridwise_pure_composes,
-    "gridwise-pure-left-factor": _law_gridwise_pure_left_factor,
-    "split-mono-is-eps-split": _law_split_mono_is_eps_split,
-    "eps-split-implies-weak-pure": _law_eps_split_implies_weak_pure,
-    "eps-split-implies-bare-pure": _law_eps_split_implies_bare_pure,
-    "eps-split-implies-double-mono": _law_eps_split_implies_double_mono,
-    "barely-pure-implies-double-mono": _law_barely_pure_implies_double_mono,
-    "collapse-triple-verdicts": _law_collapse_triple_verdicts,
-    "homotopy-transfer-weak": _law_homotopy_transfer_weak,
-    "homotopy-transfer-bare": _law_homotopy_transfer_bare,
-    "near-factor-weak": _law_near_factor_weak,
-    "near-factor-bare": _law_near_factor_bare,
-    "injectivity-eps-monotone": _law_injectivity_eps_monotone,
+LAWS: dict[str, Callable[[random.Random], Outcome]] = {
+    # purity
+    "pure-composes": _implication(
+        _pair_case, _both(_pure("pure"), _pure("pure", of="g")), _pure("pure", of=_then)),
+    "pure-left-factor": _implication(_pair_case, _pure("pure", of=_then), _pure("pure")),
+    "split-mono-is-pure": _implication(_section_case, _always, _pure("pure", of="section")),
+    "pure-implies-weak": _implication(_map_case, _pure("pure"), _pure("weak")),
+    "pure-implies-bare": _implication(_map_case, _pure("pure"), _pure("bare")),
+    "weak-implies-bare-at-double": _implication(_map_case, _pure("weak"), _pure("bare", times=2)),
+    "purity-family-monotone": _implication(_family_case, _larger_family_purity, _family_purity),
+    "gridwise-pure-composes": _implication(
+        _grid_case, _gridwise(_both(_pure("pure"), _pure("pure", of="g"))),
+        _gridwise(_pure("pure", of=_then))),
+    "gridwise-pure-left-factor": _implication(
+        _grid_case, _gridwise(_pure("pure", of=_then)), _gridwise(_pure("pure"))),
+    # splitness and mono
+    "split-mono-is-eps-split": _implication(_split_section_case, _always, _split(of="section")),
+    "eps-split-implies-weak-pure": _implication(_map_case, _split(), _pure("weak")),
+    "eps-split-implies-bare-pure": _implication(_map_case, _split(), _pure("bare")),
+    "eps-split-implies-double-mono": _implication(_map_case, _split(), _mono(times=2)),
+    "barely-pure-implies-double-mono": _implication(
+        _collapse_case, _pure("bare"), _gaps_within_double),
+    "collapse-triple-verdicts": _implication(_triple_case, _always, _collapse_verdicts),
+    # homotopy transfer
+    "homotopy-transfer-weak": _implication(
+        _nearby_case, _pure("pure", times=2), _pure("weak", of="nearby")),
+    "homotopy-transfer-bare": _implication(
+        _nearby_case, _pure("pure"), _pure("bare", of="nearby")),
+    "near-factor-weak": _implication(
+        _near_factor_case, _pure("pure", times=2, of="h"), _pure("weak")),
+    "near-factor-bare": _implication(_near_factor_case, _pure("pure", of="h"), _pure("bare")),
+    # injectivity
+    "injectivity-eps-monotone": _implication(
+        lambda rng: {"subject": random_space(rng, _SMALL), "f": _draw_test_map(rng),
+                     **_bounds(rng)},
+        _injective(at="eps_low"), _injective(at="eps_high")),
     "inf-injectivity-via-hom-emptiness": _law_inf_injectivity_via_hom_emptiness,
     "injectives-closed-under-products": _law_injectives_closed_under_products,
-    "injectives-closed-under-retracts": _law_injectives_closed_under_retracts,
+    "injectives-closed-under-retracts": _implication(
+        _retract_case, _injective("ambient"), _injective("retract")),
+    # gluing and extensions
     "bridged-leg-strict-extension": _law_bridged_leg_strict_extension,
     "dangling-copy-extension-equivalence": _law_dangling_copy_extension_equivalence,
-    "splitness-eps-monotone": _law_splitness_eps_monotone,
-    "bare-purity-eps-monotone": _law_bare_purity_eps_monotone,
-    "mono-eps-monotone": _law_mono_eps_monotone,
+    # monotone tolerance laws
+    "splitness-eps-monotone": _implication(
+        lambda rng: {"f": _draw_composable(rng)[0], **_bounds(rng)},
+        _split(at="eps_low"), _split(at="eps_high")),
+    "bare-purity-eps-monotone": _implication(
+        _bounded_case(()), _pure("bare", at="eps_low"), _pure("bare", at="eps_high")),
+    "mono-eps-monotone": _implication(
+        _bounded_case((INF,)), _mono(at="eps_low"), _mono(at="eps_high")),
 }
 
 
@@ -506,15 +416,14 @@ class LawReport:
         return all(r.ok for r in self.results)
 
 
-def run_law(law_id: str, seed: int, trials: int,
-            cfg: CorpusConfig = CorpusConfig()) -> LawResult:
+def run_law(law_id: str, seed: int, trials: int) -> LawResult:
     """Evaluate one law; the RNG stream depends only on (seed, law_id)."""
-    fn = LAWS[law_id]
+    law = LAWS[law_id]
     rng = random.Random(f"{seed}:{law_id}")
     held = vacuous = failures = 0
     first_ce = None
     for trial in range(trials):
-        status, detail = fn(rng, cfg)
+        status, detail = law(rng)
         if status == HELD:
             held += 1
         elif status == VACUOUS:
@@ -522,7 +431,7 @@ def run_law(law_id: str, seed: int, trials: int,
         else:
             failures += 1
             if first_ce is None:
-                first_ce = {"trial": trial, **(detail or {})}
+                first_ce = {"trial": trial, **detail}
     return LawResult(law_id, trials, held, vacuous, failures, first_ce)
 
 
@@ -532,18 +441,19 @@ def _run_law_star(args) -> LawResult:
 
 def law_harness(cfg: CorpusConfig | None = None, seed: int = 0,
                 trials: int = 40, workers: int | None = None) -> LawReport:
-    """Run every registered law; the report is independent of worker count."""
-    config = cfg if cfg is not None else CorpusConfig()
-    ids = sorted(LAWS)
-    jobs = [(law_id, seed, trials, config) for law_id in ids]
+    """Run every registered law; the report is independent of worker count.
+
+    ``cfg`` is accepted and ignored: every law draws from its own fixed
+    corpora of at most 3 points.
+    """
+    jobs = [(law_id, seed, trials) for law_id in sorted(LAWS)]
     if workers is not None and workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_run_law_star, jobs))
     else:
         results = [_run_law_star(j) for j in jobs]
-    results.sort(key=lambda r: r.law_id)
     return LawReport(seed, trials, tuple(results))
 
 

@@ -323,8 +323,9 @@ BAD_RUN_DIRS = {
 
 
 class TestOutOfRangeArguments:
-    """Counts below zero and grid distances of zero are usage errors: exit
-    code 2 and a message, never a traceback or a silently clamped run."""
+    """Counts below zero, worker counts below one and grid distances of zero
+    are usage errors: exit code 2 and a message, never a traceback or a
+    silently clamped run."""
 
     @pytest.mark.parametrize("args", [
         ["fraisse", "build", "--grid", "0", "--steps", "1", "--max-size", "1"],
@@ -334,6 +335,8 @@ class TestOutOfRangeArguments:
         ["fraisse", "build", "--grid", "1", "--steps", "1", "--max-size", "-1"],
         ["laws", "run", "--trials", "-1"],
         ["laws", "run", "--trials", "1", "--budget", "-1"],
+        ["laws", "run", "--trials", "1", "--workers", "0"],
+        ["laws", "run", "--trials", "1", "--workers", "-1"],
         ["space", "canon", "DOC", "--budget-nodes", "-1"],
         ["colimit", "pushout", "--eps", "1", "--in", "DOC", "--budget-nodes", "-1"],
         ["colimit", "coequalizer", "--eps", "1", "--in", "DOC", "--budget-nodes", "-1"],
@@ -349,7 +352,8 @@ class TestOutOfRangeArguments:
         ["fraisse", "build", "--grid", "1", "--steps", "1", "--budget-points", "-1"],
         ["fraisse", "audit", "DIR", "--budget-nodes", "-1"],
     ], ids=["build-grid-0", "enumerate-grid-0", "enumerate-max-size", "build-steps",
-            "build-max-size", "laws-trials", "laws-budget", "canon-budget-nodes",
+            "build-max-size", "laws-trials", "laws-budget",
+            "laws-workers-0", "laws-workers-negative", "canon-budget-nodes",
             "pushout-budget-nodes", "coequalizer-budget-nodes", "diagram-budget-nodes",
             "diagram-budget-points", "injective-budget-nodes", "split-budget-nodes",
             "pure-budget-nodes", "mono-budget-nodes", "enumerate-budget-nodes",

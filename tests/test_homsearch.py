@@ -98,6 +98,14 @@ class TestHomSet:
         with pytest.raises(BudgetExceeded):
             hom_set(big, big)
 
+    def test_budgeted_search_fills_the_cache(self):
+        big = validate_space([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
+        clear_caches()
+        maps = hom_set(big, big, max_nodes=10**6)
+        assert hom_set(big, big) is maps
+        with pytest.raises(BudgetExceeded):
+            hom_set(big, big, max_nodes=10)
+
     @given(st.integers(0, 2**30))
     def test_agrees_with_brute_enumeration_on_mixed_values(self, seed):
         rng = random.Random(seed)

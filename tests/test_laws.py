@@ -1,3 +1,6 @@
+import concurrent.futures
+
+import metricat.laws
 from metricat.corpus import CorpusConfig
 from metricat.laws import LAWS, law_harness, law_report_to_json, run_law
 
@@ -40,9 +43,97 @@ class TestHarness:
         ids = [r.law_id for r in report.results]
         assert ids == sorted(ids)
 
-    def test_respects_corpus_config(self):
-        report = law_harness(CorpusConfig(max_points=2), seed=0, trials=4)
-        assert report.ok
+    def test_corpus_config_changes_nothing(self):
+        # every law draws from its own fixed corpora
+        configured = law_harness(CorpusConfig(max_points=2), seed=0, trials=4)
+        assert configured == law_harness(seed=0, trials=4)
+
+    def test_pool_is_no_larger_than_the_law_count(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        pooled = law_harness(seed=2, trials=2, workers=5000)
+        assert law_harness(seed=2, trials=2, workers=3) == pooled
+        assert sizes == [len(LAWS), 3]
+        assert pooled == law_harness(seed=2, trials=2)
+
+
+# The instance names each law reports after "trial" when it fails.
+COUNTEREXAMPLE_KEYS = {
+    "bare-purity-eps-monotone": "f eps_low eps_high family",
+    "barely-pure-implies-double-mono": "f eps family",
+    "bridged-leg-strict-extension": "f g subject eps apex",
+    "collapse-triple-verdicts": "f eps",
+    "dangling-copy-extension-equivalence": "f subject eps tolerant strict_on_glued",
+    "eps-split-implies-bare-pure": "f eps family",
+    "eps-split-implies-double-mono": "f eps family",
+    "eps-split-implies-weak-pure": "f eps family",
+    "gridwise-pure-composes": "f g family",
+    "gridwise-pure-left-factor": "f g family",
+    "homotopy-transfer-bare": "f nearby eps family",
+    "homotopy-transfer-weak": "f nearby eps family",
+    "inf-injectivity-via-hom-emptiness": "subject f tester direct",
+    "injectives-closed-under-products": "k1 k2 eps tests",
+    "injectives-closed-under-retracts": "retract ambient f eps",
+    "injectivity-eps-monotone": "subject f eps_low eps_high",
+    "mono-eps-monotone": "f eps_low eps_high family",
+    "near-factor-bare": "f g h eps family",
+    "near-factor-weak": "f g h eps family",
+    "pure-composes": "f g eps family",
+    "pure-implies-bare": "f eps family",
+    "pure-implies-weak": "f eps family",
+    "pure-left-factor": "f g eps family",
+    "purity-family-monotone": "f eps variant family extra",
+    "split-mono-is-eps-split": "section eps",
+    "split-mono-is-pure": "section retraction eps family",
+    "splitness-eps-monotone": "f eps_low eps_high",
+    "weak-implies-bare-at-double": "f eps family",
+}
+
+
+def _flipped_on_two_by_two(tester, at):
+    """``tester`` with its verdict negated when the map at position ``at``
+    goes from two points to two points."""
+    def flipped(*args, **kwargs):
+        verdict, *rest = tester(*args, **kwargs)
+        f = args[at]
+        if f.dom.n == f.cod.n == 2:
+            verdict = not verdict
+        return (verdict, *rest)
+    return flipped
+
+
+class TestCounterexamples:
+    def test_a_failure_reports_its_instance(self, monkeypatch):
+        for name, at in (("purity", 0), ("is_eps_split", 0), ("is_eps_mono", 0),
+                         ("is_eps_injective", 1)):
+            tester = getattr(metricat.laws, name)
+            monkeypatch.setattr(metricat.laws, name, _flipped_on_two_by_two(tester, at))
+        assert sorted(COUNTEREXAMPLE_KEYS) == sorted(LAWS)
+        unbroken = set()
+        for law_id, names in COUNTEREXAMPLE_KEYS.items():
+            failed = next((r for r in (run_law(law_id, seed, 120) for seed in range(10))
+                           if r.failures), None)
+            if failed is None:
+                unbroken.add(law_id)
+                continue
+            assert tuple(failed.counterexample) == ("trial", *names.split()), law_id
+        # the flip leaves these two: the products law flips premise and
+        # conclusion together, and the collapse triple has no 2-by-2 map
+        assert unbroken == {"collapse-triple-verdicts", "injectives-closed-under-products"}
 
 
 class TestReportJson:
