@@ -1,7 +1,13 @@
 """Command line entry point.
 
-Exit codes: 0 success/pass, 1 property failure or counterexample,
-2 usage or schema error, 3 budget exceeded.
+Every command body is a function run by :func:`runner`. It returns
+``(payload, ok)``: a JSON document, written to ``--out`` or printed
+canonically, or a line of text, printed as it is. The runner caps
+``--budget-nodes`` with ``METRICAT_BUDGET_NODES`` once, before the command
+runs, and turns the outcome into an exit code: 0 when ``ok``, 1 when not
+(a property failure or counterexample) or on an invalid space, 2 on a usage
+or schema error or an output that cannot be written, 3 when a budget is
+exceeded.
 
 Each command imports the modules it runs inside its body, so start-up
 loads only click and the package's error, number and budget modules.
@@ -64,13 +70,38 @@ class PolicyChoice(click.Choice):
 RAT = RatParam()
 GRID = GridParam()
 COUNT = click.IntRange(min=0)
+DOC = click.Path(exists=True, dir_okay=False)
 
 
-def guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+def _in(help=None):
+    return click.option("--in", "infile", type=DOC, required=True, help=help)
+
+
+# The options several commands share, stacked in each command's order.
+EPS = click.option("--eps", type=RAT, required=True)
+IN = _in()
+OUT = click.option("--out", type=click.Path(dir_okay=False), default=None)
+VERIFY = click.option("--verify", is_flag=True, default=False)
+FAMILY = click.option("--family", type=DOC, default=None)
+BUDGET_NODES = click.option("--budget-nodes", "max_nodes", type=COUNT, default=None)
+
+
+def runner(command):
+    """Run ``command``, emit the payload it returns, and exit with its code
+    (see the module docstring)."""
+    @functools.wraps(command)
+    def run(out=None, **params):
         try:
-            code = fn(*args, **kwargs)
+            if "max_nodes" in params:
+                params["max_nodes"] = node_ceiling(params["max_nodes"])
+            payload, ok = command(**params)
+            from .serialization import dumps_canonical, write_json
+
+            if out:
+                write_json(out, payload)
+            else:
+                click.echo(payload if isinstance(payload, str) else dumps_canonical(payload),
+                           nl=False)
         except SchemaError as exc:
             click.echo(f"schema error at {exc.pointer or '<root>'}: {exc}", err=True)
             sys.exit(2)
@@ -80,20 +111,11 @@ def guarded(fn):
         except BudgetExceeded as exc:
             click.echo(f"budget exceeded: {exc}", err=True)
             sys.exit(3)
-        except MetricatError as exc:
+        except (MetricatError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
-        sys.exit(code or 0)
-    return wrapper
-
-
-def _emit(payload: dict, out: str | None) -> None:
-    from .serialization import dumps_canonical, write_json
-
-    if out:
-        write_json(out, payload)
-    else:
-        click.echo(dumps_canonical(payload), nl=False)
+        sys.exit(0 if ok else 1)
+    return run
 
 
 @click.group()
@@ -110,8 +132,8 @@ def space():
 
 
 @space.command("validate")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@guarded
+@click.argument("file", type=DOC)
+@runner
 def space_validate(file):
     from .serialization import read_json, space_from_json
 
@@ -119,54 +141,51 @@ def space_validate(file):
     try:
         sp = space_from_json(read_json(file), warnings=warnings)
     except SpaceValidationError as exc:
-        click.echo(f"invalid: {exc}")
-        return 1
+        return f"invalid: {exc}\n", False
     for w in warnings:
         click.echo(f"warning: {w}", err=True)
-    click.echo(f"valid: {sp.n} points")
-    return 0
+    return f"valid: {sp.n} points\n", True
 
 
 @space.command("canon")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--budget-nodes", type=COUNT, default=None)
-@guarded
-def space_canon(file, out, budget_nodes):
+@click.argument("file", type=DOC)
+@OUT
+@BUDGET_NODES
+@runner
+def space_canon(file, max_nodes):
     from .canonical import canonical_form
     from .serialization import read_json, space_from_json, space_to_json
 
-    sp = space_from_json(read_json(file))
-    result = canonical_form(sp, max_nodes=node_ceiling(budget_nodes))
-    _emit({"space": space_to_json(result.space), "order": list(result.order)}, out)
-    return 0
+    result = canonical_form(space_from_json(read_json(file)), max_nodes=max_nodes)
+    return {"space": space_to_json(result.space), "order": list(result.order)}, True
 
 
 # ----------------------------------------------------------------- colimit
 
-def _default_targets(*spaces):
-    """Verification targets: the construction's own pieces plus tiny probes."""
+def _verified(payload: dict, verify: bool, check, *pieces):
+    """``(payload, ok)`` for a colimit command. With ``--verify``,
+    ``check(verify_module, targets)`` verifies the construction against its
+    ``pieces`` and two tiny probes; its report joins the payload and decides
+    ``ok``."""
+    if not verify:
+        return payload, True
+    from . import verify as verify_module
+    from .serialization import map_to_json, space_to_json
     from .spaces import one_point, two_point
 
-    out = list(spaces)
-    out.append(one_point())
-    out.append(two_point(rat(1)))
-    return out
-
-
-def _verify_json(report) -> dict:
-    from .serialization import map_to_json, space_to_json
-
-    doc: dict = {"ok": report.ok, "checked": report.checked, "counterexample": None}
+    report = check(verify_module, [*pieces, one_point(), two_point(rat(1))])
     ce = report.counterexample
-    if ce is not None:
-        doc["counterexample"] = {
+    payload["verification"] = {
+        "ok": report.ok,
+        "checked": report.checked,
+        "counterexample": None if ce is None else {
             "kind": ce.kind,
             "target": space_to_json(ce.target) if ce.target is not None else None,
             "cone": [map_to_json(m) for m in ce.cone],
             "mediators": [map_to_json(m) for m in ce.mediators],
-        }
-    return doc
+        },
+    }
+    return payload, report.ok
 
 
 @main.group()
@@ -175,13 +194,13 @@ def colimit():
 
 
 @colimit.command("pushout")
-@click.option("--eps", type=RAT, required=True)
-@click.option("--in", "infile", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--verify", is_flag=True, default=False)
-@click.option("--budget-nodes", type=COUNT, default=None)
-@guarded
-def colimit_pushout(eps, infile, out, verify, budget_nodes):
+@EPS
+@IN
+@OUT
+@VERIFY
+@BUDGET_NODES
+@runner
+def colimit_pushout(eps, infile, verify, max_nodes):
     from .colimits import eps_pushout
     from .serialization import map_to_json, pair_from_json, read_json, space_to_json
 
@@ -193,27 +212,18 @@ def colimit_pushout(eps, infile, out, verify, budget_nodes):
         "leg_f": map_to_json(result.leg_f),
         "leg_g": map_to_json(result.leg_g),
     }
-    code = 0
-    if verify:
-        from .verify import verify_pushout
-
-        report = verify_pushout(result, f, g,
-                                _default_targets(result.apex, f.cod, g.cod),
-                                max_nodes=node_ceiling(budget_nodes))
-        payload["verification"] = _verify_json(report)
-        code = 0 if report.ok else 1
-    _emit(payload, out)
-    return code
+    return _verified(payload, verify, lambda v, targets: v.verify_pushout(
+        result, f, g, targets, max_nodes=max_nodes), result.apex, f.cod, g.cod)
 
 
 @colimit.command("coequalizer")
-@click.option("--eps", type=RAT, required=True)
-@click.option("--in", "infile", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--verify", is_flag=True, default=False)
-@click.option("--budget-nodes", type=COUNT, default=None)
-@guarded
-def colimit_coequalizer(eps, infile, out, verify, budget_nodes):
+@EPS
+@IN
+@OUT
+@VERIFY
+@BUDGET_NODES
+@runner
+def colimit_coequalizer(eps, infile, verify, max_nodes):
     from .colimits import eps_coequalizer
     from .serialization import map_to_json, pair_from_json, read_json, space_to_json
     from .spaces import MetMap
@@ -229,28 +239,19 @@ def colimit_coequalizer(eps, infile, out, verify, budget_nodes):
         "apex": space_to_json(result.apex),
         "leg": map_to_json(result.leg),
     }
-    code = 0
-    if verify:
-        from .verify import verify_coequalizer
-
-        report = verify_coequalizer(result, f, g,
-                                    _default_targets(result.apex, f.cod),
-                                    max_nodes=node_ceiling(budget_nodes))
-        payload["verification"] = _verify_json(report)
-        code = 0 if report.ok else 1
-    _emit(payload, out)
-    return code
+    return _verified(payload, verify, lambda v, targets: v.verify_coequalizer(
+        result, f, g, targets, max_nodes=max_nodes), result.apex, f.cod)
 
 
 @colimit.command("diagram")
-@click.option("--eps", type=RAT, required=True)
-@click.option("--in", "infile", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--verify", is_flag=True, default=False)
+@EPS
+@IN
+@OUT
+@VERIFY
 @click.option("--budget-points", type=COUNT, default=None)
-@click.option("--budget-nodes", type=COUNT, default=None)
-@guarded
-def colimit_diagram(eps, infile, out, verify, budget_points, budget_nodes):
+@BUDGET_NODES
+@runner
+def colimit_diagram(eps, infile, verify, budget_points, max_nodes):
     from .colimits import eps_colimit
     from .serialization import diagram_from_json, map_to_json, read_json, space_to_json
 
@@ -261,17 +262,8 @@ def colimit_diagram(eps, infile, out, verify, budget_points, budget_nodes):
         "apex": space_to_json(result.apex),
         "legs": [map_to_json(leg) for leg in result.legs],
     }
-    code = 0
-    if verify:
-        from .verify import verify_colimit
-
-        report = verify_colimit(result, diagram,
-                                _default_targets(result.apex),
-                                max_nodes=node_ceiling(budget_nodes))
-        payload["verification"] = _verify_json(report)
-        code = 0 if report.ok else 1
-    _emit(payload, out)
-    return code
+    return _verified(payload, verify, lambda v, targets: v.verify_colimit(
+        result, diagram, targets, max_nodes=max_nodes), result.apex)
 
 
 # ------------------------------------------------------------------- check
@@ -291,69 +283,63 @@ def _load_family(path: str | None):
 
 
 @check.command("injective")
-@click.option("--eps", type=RAT, required=True)
-@click.option("--subject", type=click.Path(exists=True, dir_okay=False), required=True,
+@EPS
+@click.option("--subject", type=DOC, required=True,
               help="Space document tested for injectivity.")
-@click.option("--in", "infile", type=click.Path(exists=True, dir_okay=False), required=True,
-              help="Morphism document f: A -> B to extend along.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--budget-nodes", type=COUNT, default=None)
-@guarded
-def check_injective(eps, subject, infile, out, budget_nodes):
+@_in(help="Morphism document f: A -> B to extend along.")
+@OUT
+@BUDGET_NODES
+@runner
+def check_injective(eps, subject, infile, max_nodes):
     from .injectivity import is_eps_injective
     from .serialization import map_from_json, map_to_json, read_json, space_from_json
 
     K = space_from_json(read_json(subject))
     f = map_from_json(read_json(infile))
-    ok, witness = is_eps_injective(K, f, eps, max_nodes=node_ceiling(budget_nodes))
-    payload = {
+    ok, witness = is_eps_injective(K, f, eps, max_nodes=max_nodes)
+    return {
         "check": "injective",
         "eps": str(eps),
         "ok": ok,
         "witness": None if witness is None else map_to_json(witness),
-    }
-    _emit(payload, out)
-    return 0 if ok else 1
+    }, ok
 
 
 @check.command("split")
-@click.option("--eps", type=RAT, required=True)
-@click.option("--in", "infile", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--budget-nodes", type=COUNT, default=None)
-@guarded
-def check_split(eps, infile, out, budget_nodes):
+@EPS
+@IN
+@OUT
+@BUDGET_NODES
+@runner
+def check_split(eps, infile, max_nodes):
     from .injectivity import is_eps_split
     from .serialization import map_from_json, map_to_json, read_json
 
     f = map_from_json(read_json(infile))
-    ok, retraction = is_eps_split(f, eps, max_nodes=node_ceiling(budget_nodes))
-    payload = {
+    ok, retraction = is_eps_split(f, eps, max_nodes=max_nodes)
+    return {
         "check": "split",
         "eps": str(eps),
         "ok": ok,
         "retraction": None if retraction is None else map_to_json(retraction),
-    }
-    _emit(payload, out)
-    return 0 if ok else 1
+    }, ok
 
 
 @check.command("pure")
-@click.option("--eps", type=RAT, required=True)
+@EPS
 @click.option("--variant", type=click.Choice(["pure", "weak", "bare"]), default="pure")
-@click.option("--family", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--in", "infile", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--budget-nodes", type=COUNT, default=None)
-@guarded
-def check_pure(eps, variant, family, infile, out, budget_nodes):
+@FAMILY
+@IN
+@OUT
+@BUDGET_NODES
+@runner
+def check_pure(eps, variant, family, infile, max_nodes):
     from .injectivity import purity
     from .serialization import map_from_json, map_to_json, read_json, space_to_json
 
     f = map_from_json(read_json(infile))
-    fam = _load_family(family)
-    ok, square = purity(f, eps, variant, fam, max_nodes=node_ceiling(budget_nodes))
-    payload = {
+    ok, square = purity(f, eps, variant, _load_family(family), max_nodes=max_nodes)
+    return {
         "check": "pure",
         "variant": variant,
         "eps": str(eps),
@@ -366,26 +352,23 @@ def check_pure(eps, variant, family, infile, out, budget_nodes):
             "v": map_to_json(square.v),
             "best_filler_distance": str(square.best),
         },
-    }
-    _emit(payload, out)
-    return 0 if ok else 1
+    }, ok
 
 
 @check.command("mono")
-@click.option("--eps", type=RAT, required=True)
-@click.option("--family", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--in", "infile", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--budget-nodes", type=COUNT, default=None)
-@guarded
-def check_mono(eps, family, infile, out, budget_nodes):
+@EPS
+@FAMILY
+@IN
+@OUT
+@BUDGET_NODES
+@runner
+def check_mono(eps, family, infile, max_nodes):
     from .injectivity import is_eps_mono
     from .serialization import map_from_json, map_to_json, read_json, space_to_json
 
     f = map_from_json(read_json(infile))
-    fam = _load_family(family)
-    ok, witness = is_eps_mono(f, eps, fam, max_nodes=node_ceiling(budget_nodes))
-    payload = {
+    ok, witness = is_eps_mono(f, eps, _load_family(family), max_nodes=max_nodes)
+    return {
         "check": "mono",
         "eps": str(eps),
         "ok": ok,
@@ -394,9 +377,7 @@ def check_mono(eps, family, infile, out, budget_nodes):
             "g": map_to_json(witness[1]),
             "h": map_to_json(witness[2]),
         },
-    }
-    _emit(payload, out)
-    return 0 if ok else 1
+    }, ok
 
 
 # -------------------------------------------------------------------- laws
@@ -413,14 +394,13 @@ def laws():
               help="Accepted and ignored: the laws draw from fixed corpora "
                    "of at most 3 points.")
 @click.option("--workers", type=click.IntRange(min=1), default=None)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@guarded
-def laws_run(seed, trials, max_points, workers, out):
+@OUT
+@runner
+def laws_run(seed, trials, max_points, workers):
     from .laws import law_harness, law_report_to_json
 
     report = law_harness(seed=seed, trials=trials, workers=workers)
-    _emit(law_report_to_json(report), out)
-    return 0 if report.ok else 1
+    return law_report_to_json(report), report.ok
 
 
 # ------------------------------------------------------------------ fraisse
@@ -433,22 +413,20 @@ def fraisse():
 @fraisse.command("enumerate")
 @click.option("--grid", type=GRID, required=True)
 @click.option("--max-size", type=COUNT, required=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--budget-nodes", type=COUNT, default=None)
-@guarded
-def fraisse_enumerate(grid, max_size, out, budget_nodes):
+@OUT
+@BUDGET_NODES
+@runner
+def fraisse_enumerate(grid, max_size, max_nodes):
     from .fraisse import DistanceGrid, enumerate_spaces
     from .serialization import space_to_json
 
     dgrid = DistanceGrid(grid, max_size)
-    spaces = enumerate_spaces(dgrid, max_nodes=node_ceiling(budget_nodes))
-    payload = {
+    spaces = enumerate_spaces(dgrid, max_nodes=max_nodes)
+    return {
         "grid": {"values": [str(v) for v in dgrid.values], "max_size": max_size},
         "count": len(spaces),
         "spaces": [space_to_json(s) for s in spaces],
-    }
-    _emit(payload, out)
-    return 0
+    }, True
 
 
 @fraisse.command("build")
@@ -460,27 +438,19 @@ def fraisse_enumerate(grid, max_size, out, budget_nodes):
 @click.option("--seed", type=int, default=0)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 @click.option("--budget-points", type=COUNT, default=DEFAULT_STAGE_POINT_BUDGET)
-@click.option("--budget-nodes", type=COUNT, default=None)
-@guarded
-def fraisse_build(grid, steps, max_size, policy, seed, out_dir, budget_points,
-                  budget_nodes):
+@BUDGET_NODES
+@runner
+def fraisse_build(grid, steps, max_size, policy, seed, out_dir, budget_points, max_nodes):
     from .fraisse import POLICIES, DistanceGrid, build_chain
     from .rundir import make_manifest, write_chain
 
     dgrid = DistanceGrid(grid, max_size if max_size is not None else max(steps, 1))
     started = time.monotonic()
-    budgets = {
-        "points": budget_points,
-        "nodes": node_ceiling(budget_nodes),
-        "spans": DEFAULT_SPAN_BUDGET,
-    }
+    budgets = {"points": budget_points, "nodes": max_nodes, "spans": DEFAULT_SPAN_BUDGET}
     command = "metricat fraisse build"
     try:
-        stages, _catalog = build_chain(
-            dgrid, steps, POLICIES[policy],
-            max_points=budget_points,
-            max_nodes=node_ceiling(budget_nodes),
-        )
+        stages, _catalog = build_chain(dgrid, steps, POLICIES[policy],
+                                       max_points=budget_points, max_nodes=max_nodes)
     except BudgetExceeded as exc:
         partial = exc.partial[0] if exc.partial else ()
         outcome = {"complete": False, "error": str(exc)}
@@ -488,33 +458,26 @@ def fraisse_build(grid, steps, max_size, policy, seed, out_dir, budget_points,
                                  outcome, time.monotonic() - started)
         if partial:
             write_chain(out_dir, partial, manifest)
-        click.echo(f"budget exceeded: {exc}", err=True)
-        return 3
+        raise
     outcome = {"complete": True}
     manifest = make_manifest(command, dgrid, policy, seed, steps, budgets,
                              outcome, time.monotonic() - started)
     write_chain(out_dir, stages, manifest)
-    click.echo(f"built {len(stages)} stages: sizes {[s.space.n for s in stages]}")
-    return 0
+    return f"built {len(stages)} stages: sizes {[s.space.n for s in stages]}\n", True
 
 
 @fraisse.command("audit")
 @click.argument("run_dir", type=click.Path(exists=True, file_okay=False))
-@click.option("--budget-nodes", type=COUNT, default=None)
-@guarded
-def fraisse_audit(run_dir, budget_nodes):
+@BUDGET_NODES
+@runner
+def fraisse_audit(run_dir, max_nodes):
     from .fraisse import audit_saturation
     from .rundir import audit_to_json, load_chain, rebuild_catalog, write_audit
-    from .serialization import dumps_canonical
 
     run = load_chain(run_dir)
-    catalog = rebuild_catalog(run.grid)
-    report = audit_saturation(run.stages, catalog,
-                              max_nodes=node_ceiling(budget_nodes))
+    report = audit_saturation(run.stages, rebuild_catalog(run.grid), max_nodes=max_nodes)
     write_audit(run_dir, report)
-    doc = audit_to_json(report)
-    click.echo(dumps_canonical(doc), nl=False)
-    return 0 if report.ok else 1
+    return audit_to_json(report), report.ok
 
 
 if __name__ == "__main__":

@@ -18,6 +18,27 @@ from metricat.serialization import (
 from metricat.spaces import MetMap, empty_space, one_point, two_point, validate_space
 
 PATH3 = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+DATA = os.path.join(os.path.dirname(__file__), "data")
+SPACE = os.path.join(DATA, "space.json")      # PATH3
+SECTION = os.path.join(DATA, "section.json")  # one_point() -> two_point(1), map [0]
+
+# Every command that writes a document, run on the committed fixtures. The
+# CI workflow runs the same lines through the console script.
+DOCUMENTS = {
+    "canon": ["space", "canon", SPACE],
+    "pushout": ["colimit", "pushout", "--eps", "1/2", "--in",
+                os.path.join(DATA, "span.json"), "--verify"],
+    "coequalizer": ["colimit", "coequalizer", "--eps", "1/2", "--in",
+                    os.path.join(DATA, "pair.json"), "--verify"],
+    "diagram": ["colimit", "diagram", "--eps", "1/2", "--in",
+                os.path.join(DATA, "diagram.json"), "--verify"],
+    "injective": ["check", "injective", "--eps", "1", "--subject", SPACE, "--in", SECTION],
+    "split": ["check", "split", "--eps", "0", "--in", SECTION],
+    "pure": ["check", "pure", "--eps", "0", "--in", SECTION],
+    "mono": ["check", "mono", "--eps", "0", "--in", SECTION],
+    "enumerate": ["fraisse", "enumerate", "--grid", "1,2", "--max-size", "3"],
+    "laws": ["laws", "run", "--seed", "0", "--trials", "3"],
+}
 
 
 def invoke(args):
@@ -111,13 +132,28 @@ class TestColimitCommands:
     ])
     def test_verify_the_committed_fixtures(self, tmp_path, command, fixture, checked):
         # The CI workflow runs the same three commands through the console script.
-        path = os.path.join(os.path.dirname(__file__), "data", fixture)
+        path = os.path.join(DATA, fixture)
         out = str(tmp_path / "out.json")
         result = invoke(["colimit", command, "--eps", "1/2", "--in", path,
                          "--verify", "--out", out])
         assert result.exit_code == 0
         assert read_json(out)["verification"] == {
             "ok": True, "checked": checked, "counterexample": None}
+
+    def test_a_failed_verification_exits_1(self, monkeypatch):
+        from metricat import verify
+
+        target = two_point(1)
+        cone = MetMap(one_point(), target, (0,))
+        report = verify.VerifyReport(False, 7, verify.Counterexample(
+            "existence", target, (cone,), ()))
+        monkeypatch.setattr(verify, "verify_pushout", lambda *args, **kwargs: report)
+        result = invoke(DOCUMENTS["pushout"])
+        assert result.exit_code == 1
+        assert json.loads(result.stdout)["verification"] == {
+            "ok": False, "checked": 7, "counterexample": {
+                "kind": "existence", "target": space_to_json(target),
+                "cone": [map_to_json(cone)], "mediators": []}}
 
     def test_bad_eps_is_a_usage_error(self, tmp_path):
         f = MetMap(one_point(), two_point(1), (0,))
@@ -189,6 +225,20 @@ class TestCheckCommands:
         doc = read_json(out)
         assert doc["ok"] is False
         assert doc["counterexample"]["best_filler_distance"] is not None
+
+    @pytest.mark.parametrize("command", ["canon", "injective", "split", "pure", "mono",
+                                         "enumerate"])
+    def test_check_the_committed_fixtures(self, command):
+        # The CI workflow runs the same six commands through the console script.
+        result = invoke(DOCUMENTS[command])
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout)
+        if command == "canon":
+            assert doc["order"] == [1, 0, 2]
+        elif command == "enumerate":
+            assert doc["count"] == 8
+        else:
+            assert doc["ok"] is True
 
     def test_mono_verdicts(self, tmp_path):
         collapse = write_doc(
@@ -400,14 +450,6 @@ class TestRunDirectoryErrors:
         assert "K_003.json" in result.stderr
         assert "Traceback" not in result.stderr
 
-    def test_non_integer_node_budget_is_a_usage_error(self, tmp_path, monkeypatch):
-        run_dir = self._build(tmp_path)
-        monkeypatch.setenv("METRICAT_BUDGET_NODES", "x")
-        result = invoke(["fraisse", "audit", run_dir])
-        assert result.exit_code == 2
-        assert "METRICAT_BUDGET_NODES is not an integer" in result.stderr
-        assert "Traceback" not in result.stderr
-
     def test_triangle_violation_in_a_stage_fails_the_audit(self, tmp_path):
         run_dir = self._build(tmp_path)
         dist = [["0" if i == j else "1" for j in range(4)] for i in range(4)]
@@ -430,3 +472,119 @@ class TestRunDirectoryErrors:
         audited = invoke(["fraisse", "audit", run_dir])
         assert audited.exit_code == 0
         assert len(json.loads(audited.stdout)["stages"]) == 1
+
+
+def _files(root):
+    return sorted(os.path.relpath(os.path.join(top, name), root)
+                  for top, dirs, names in os.walk(root) for name in dirs + names)
+
+
+# Every command with --budget-nodes but fraisse build, which persists a partial
+# run when its budget runs out. RUN stands for a built run directory.
+BUDGETED = {
+    **{name: args for name, args in DOCUMENTS.items() if name != "laws"},
+    "audit": ["fraisse", "audit", "RUN"],
+}
+
+
+def _budgeted(command, tmp_path):
+    return [TestRunDirectoryErrors._build(tmp_path) if a == "RUN" else a
+            for a in BUDGETED[command]]
+
+# Each command's parameters in declaration order: opts, then ":" and the type
+# name, "!" when required, "=" and the default when there is one. The --help
+# screens are rendered from exactly these.
+PARAMETERS = {
+    "check injective": "--eps:rational! --subject:file! --in:file! --out:file "
+                       "--budget-nodes:integer range",
+    "check mono": "--eps:rational! --family:file --in:file! --out:file "
+                  "--budget-nodes:integer range",
+    "check pure": "--eps:rational! --variant:choice=pure --family:file --in:file! "
+                  "--out:file --budget-nodes:integer range",
+    "check split": "--eps:rational! --in:file! --out:file --budget-nodes:integer range",
+    "colimit coequalizer": "--eps:rational! --in:file! --out:file --verify:boolean=False "
+                           "--budget-nodes:integer range",
+    "colimit diagram": "--eps:rational! --in:file! --out:file --verify:boolean=False "
+                       "--budget-points:integer range --budget-nodes:integer range",
+    "colimit pushout": "--eps:rational! --in:file! --out:file --verify:boolean=False "
+                       "--budget-nodes:integer range",
+    "fraisse audit": "run_dir:directory! --budget-nodes:integer range",
+    "fraisse build": "--grid:grid! --steps:integer range! --max-size:integer range "
+                     "--policy:choice=iso-skip --seed:integer=0 --out:directory! "
+                     "--budget-points:integer range=256 --budget-nodes:integer range",
+    "fraisse enumerate": "--grid:grid! --max-size:integer range! --out:file "
+                         "--budget-nodes:integer range",
+    "laws run": "--seed:integer=0 --trials:integer range=40 --budget:integer range=4 "
+                "--workers:integer range --out:file",
+    "space canon": "file:file! --out:file --budget-nodes:integer range",
+    "space validate": "file:file!",
+}
+
+
+class TestCommandContract:
+    """What every command shares: the --out document, the node budget, the
+    parameters behind --help, and the exit code of a failed write."""
+
+    @pytest.mark.parametrize("command", sorted(DOCUMENTS))
+    def test_stdout_is_the_out_file(self, tmp_path, command):
+        out = str(tmp_path / "out.json")
+        printed = invoke(DOCUMENTS[command])
+        written = invoke([*DOCUMENTS[command], "--out", out])
+        assert printed.exit_code == written.exit_code == 0
+        assert written.stdout == ""
+        with open(out, "rb") as fh:
+            assert fh.read() == printed.stdout_bytes
+
+    @pytest.mark.parametrize("command", sorted(BUDGETED))
+    def test_zero_node_budget_exits_3_without_output(self, tmp_path, command):
+        out = str(tmp_path / "out.json")
+        args = _budgeted(command, tmp_path)
+        if command != "audit":
+            args += ["--out", out]
+        result = invoke([*args, "--budget-nodes", "0"])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("budget exceeded:")
+        assert result.stdout == ""
+        assert not os.path.exists(out)
+        assert not os.path.exists(tmp_path / "run" / "audit.json")
+
+    @pytest.mark.parametrize("command", sorted([*BUDGETED, "build"]))
+    def test_non_integer_node_budget_is_a_usage_error(self, tmp_path, monkeypatch, command):
+        args = _budgeted(command, tmp_path) if command != "build" else [
+            "fraisse", "build", "--grid", "1", "--steps", "1", "--out", str(tmp_path / "built")]
+        monkeypatch.setenv("METRICAT_BUDGET_NODES", "x")
+        result = invoke(args)
+        assert result.exit_code == 2
+        assert "METRICAT_BUDGET_NODES is not an integer" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not os.path.exists(tmp_path / "built")
+
+    def test_parameters_keep_their_order_and_defaults(self):
+        seen = {}
+        for group_name, group in main.commands.items():
+            for name, command in group.commands.items():
+                seen[f"{group_name} {name}"] = " ".join(
+                    "/".join(p.opts) + ":" + p.type.name + ("!" if p.required else "")
+                    + ("" if p.required or p.default is None else f"={p.default}")
+                    for p in command.params)
+        assert seen == PARAMETERS
+
+    @pytest.mark.parametrize("case", ["pushout", "build", "audit"])
+    def test_unwritable_output_is_an_error(self, tmp_path, case):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        if case == "pushout":
+            args = [*DOCUMENTS["pushout"], "--out", str(blocker / "x.json")]
+        elif case == "build":
+            args = ["fraisse", "build", "--grid", "1", "--steps", "1",
+                    "--out", str(blocker / "run")]
+        else:
+            run_dir = TestRunDirectoryErrors._build(tmp_path)
+            os.mkdir(os.path.join(run_dir, "audit.json"))
+            args = ["fraisse", "audit", run_dir]
+        before = _files(tmp_path)
+        result = invoke(args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.output
+        assert _files(tmp_path) == before

@@ -77,6 +77,13 @@ def test_help_loads_no_command_module(args):
     assert loaded_after(run) == []
 
 
+def test_pushout_without_verify_loads_no_command_module():
+    span = os.path.join(os.path.dirname(__file__), "data", "span.json")
+    args = ["colimit", "pushout", "--eps", "1/2", "--in", span]
+    run = f"from metricat.cli import main\ntry:\n    main({args!r})\nexcept SystemExit:\n    pass"
+    assert loaded_after(run) == []
+
+
 def test_all_is_unchanged_and_resolves():
     assert metricat.__all__ == sorted(PUBLIC)
     assert len(PUBLIC) == 105
