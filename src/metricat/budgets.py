@@ -2,9 +2,11 @@
 
 Every potentially exponential search (hom enumeration, canonicalization,
 extension search, universal-property verification) charges nodes against a
-budget and raises BudgetExceeded instead of truncating silently.  The
-environment variable METRICAT_BUDGET_NODES, when set, caps every node budget
-in the process.
+budget and raises BudgetExceeded instead of truncating silently.  One
+``NodeBudget`` bounds a whole command or top-level library call: a public
+``max_nodes=`` takes a size, for a fresh budget, or a ``NodeBudget`` to
+share.  The environment variable METRICAT_BUDGET_NODES, when set, caps every
+node budget when it is made.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import os
 from .errors import BudgetExceeded, UsageError
 
 DEFAULT_POINT_BUDGET = 64          # per constructed space in combinatorial ops
-DEFAULT_NODE_BUDGET = 10_000_000   # per search call
+DEFAULT_NODE_BUDGET = 10_000_000   # per command or top-level library call
 DEFAULT_STAGE_POINT_BUDGET = 256   # per chain stage
 DEFAULT_SPAN_BUDGET = 512          # spans attached per chain step
 
@@ -41,9 +43,26 @@ class NodeBudget:
         self.limit = node_ceiling(limit)
         self.used = 0
 
+    @classmethod
+    def of(cls, max_nodes: "int | NodeBudget | None") -> "NodeBudget":
+        """``max_nodes`` itself if it is a budget, else a fresh one of that size."""
+        return max_nodes if isinstance(max_nodes, NodeBudget) else cls(max_nodes)
+
     def spend(self, n: int = 1) -> None:
         self.used += n
-        if self.used > self.limit:
-            raise BudgetExceeded(
-                f"search exceeded node budget of {self.limit}"
-            )
+        # Spending nothing never raises, not even under a negative limit.
+        if self.used > self.limit and n:
+            raise BudgetExceeded(f"search spent {self.used} nodes, "
+                                 f"over the node budget of {self.limit}")
+
+    def cached(self, cache: dict, key, compute):
+        """``compute()``, memoized in ``cache`` with the nodes it spent; a
+        hit charges them again, so the outcome does not depend on the cache."""
+        hit = cache.get(key)
+        if hit is not None:
+            self.spend(hit[1])
+            return hit[0]
+        start = self.used
+        value = compute()
+        cache[key] = (value, self.used - start)
+        return value

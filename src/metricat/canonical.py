@@ -4,7 +4,8 @@ The canonical form of a space is the lexicographically least distance matrix
 over all point orderings compatible with an invariant-based partition
 refinement.  Two spaces are isometrically isomorphic exactly when their
 canonical matrices are equal; the tests cross-check this against a raw
-all-permutations oracle.
+all-permutations oracle.  A canonical form is cached with the nodes its
+search spent, and a cache hit charges them again, as a cached hom-set does.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from .budgets import NodeBudget
 from .spaces import MetMap, Space
 
-_canon_cache: dict[Space, "CanonicalResult"] = {}
+_canon_cache: dict[Space, tuple["CanonicalResult", int]] = {}
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,6 @@ class CanonicalResult:
 
 def _refine_colors(dist) -> list[int]:
     n = len(dist)
-    colors = [0] * n
     # Seed with each point's sorted distance profile.
     keys = [tuple(sorted(dist[i][j] for j in range(n) if j != i)) for i in range(n)]
     order = sorted(range(n), key=lambda i: keys[i])
@@ -51,18 +51,17 @@ def _refine_colors(dist) -> list[int]:
 
 def canonical_form(space: Space, *, max_nodes: int | None = None) -> CanonicalResult:
     """Deterministic representative of the isometry class (labels dropped)."""
-    if max_nodes is None and space in _canon_cache:
-        return _canon_cache[space]
+    budget = NodeBudget.of(max_nodes)
+    return budget.cached(_canon_cache, space, lambda: _canonicalize(space, budget))
+
+
+def _canonicalize(space: Space, budget: NodeBudget) -> CanonicalResult:
     n = space.n
     if n <= 1:
-        result = CanonicalResult(Space(space.dist), tuple(range(n)))
-        if max_nodes is None:
-            _canon_cache[space] = result
-        return result
+        return CanonicalResult(Space(space.dist), tuple(range(n)))
 
     dist = space.dist
     colors = _refine_colors(dist)
-    budget = NodeBudget(max_nodes)
 
     best_word: list | None = None
     best_perm: tuple[int, ...] | None = None
@@ -96,18 +95,16 @@ def canonical_form(space: Space, *, max_nodes: int | None = None) -> CanonicalRe
     assert best_perm is not None
     order = best_perm
     canon = Space(tuple(tuple(dist[order[a]][order[b]] for b in range(n)) for a in range(n)))
-    result = CanonicalResult(canon, order)
-    if max_nodes is None:
-        _canon_cache[space] = result
-    return result
+    return CanonicalResult(canon, order)
 
 
 def are_isomorphic(a: Space, b: Space, *, max_nodes: int | None = None) -> bool:
     if a.n != b.n:
         return False
+    budget = NodeBudget.of(max_nodes)
     return (
-        canonical_form(a, max_nodes=max_nodes).space.dist
-        == canonical_form(b, max_nodes=max_nodes).space.dist
+        canonical_form(a, max_nodes=budget).space.dist
+        == canonical_form(b, max_nodes=budget).space.dist
     )
 
 

@@ -2,12 +2,12 @@
 
 Every command body is a function run by :func:`runner`. It returns
 ``(payload, ok)``: a JSON document, written to ``--out`` or printed
-canonically, or a line of text, printed as it is. The runner caps
-``--budget-nodes`` with ``METRICAT_BUDGET_NODES`` once, before the command
-runs, and turns the outcome into an exit code: 0 when ``ok``, 1 when not
-(a property failure or counterexample) or on an invalid space, 2 on a usage
-or schema error or an output that cannot be written, 3 when a budget is
-exceeded.
+canonically, or a line of text, printed as it is. Before the command runs,
+the runner makes its one node budget, which every search it makes charges:
+``--budget-nodes`` capped by ``METRICAT_BUDGET_NODES``. It turns the
+outcome into an exit code: 0 when ``ok``, 1 when not (a property failure
+or counterexample) or on an invalid space, 2 on a usage or schema error or
+an output that cannot be written, 3 when a budget is exceeded.
 
 Each command imports the modules it runs inside its body, so start-up
 loads only click and the package's error, number and budget modules.
@@ -21,7 +21,7 @@ import time
 
 import click
 
-from .budgets import DEFAULT_SPAN_BUDGET, DEFAULT_STAGE_POINT_BUDGET, node_ceiling
+from .budgets import DEFAULT_SPAN_BUDGET, DEFAULT_STAGE_POINT_BUDGET, NodeBudget
 from .errors import BudgetExceeded, MetricatError, SchemaError, SpaceValidationError
 from .extrat import ZERO, ExtRat, rat
 
@@ -93,7 +93,7 @@ def runner(command):
     def run(out=None, **params):
         try:
             if "max_nodes" in params:
-                params["max_nodes"] = node_ceiling(params["max_nodes"])
+                params["max_nodes"] = NodeBudget(params["max_nodes"])
             payload, ok = command(**params)
             from .serialization import dumps_canonical, write_json
 
@@ -446,7 +446,7 @@ def fraisse_build(grid, steps, max_size, policy, seed, out_dir, budget_points, m
 
     dgrid = DistanceGrid(grid, max_size if max_size is not None else max(steps, 1))
     started = time.monotonic()
-    budgets = {"points": budget_points, "nodes": max_nodes, "spans": DEFAULT_SPAN_BUDGET}
+    budgets = {"points": budget_points, "nodes": max_nodes.limit, "spans": DEFAULT_SPAN_BUDGET}
     command = "metricat fraisse build"
     try:
         stages, _catalog = build_chain(dgrid, steps, POLICIES[policy],
@@ -471,13 +471,16 @@ def fraisse_build(grid, steps, max_size, policy, seed, out_dir, budget_points, m
 @BUDGET_NODES
 @runner
 def fraisse_audit(run_dir, max_nodes):
-    from .fraisse import audit_saturation
-    from .rundir import audit_to_json, load_chain, rebuild_catalog, write_audit
+    from .fraisse import _catalog, audit_saturation, enumerate_spaces
+    from .rundir import audit_to_json, load_chain, write_audit
 
     run = load_chain(run_dir)
-    report = audit_saturation(run.stages, rebuild_catalog(run.grid), max_nodes=max_nodes)
-    write_audit(run_dir, report)
-    return audit_to_json(report), report.ok
+    spaces = enumerate_spaces(run.grid, max_nodes=max_nodes)
+    catalog = _catalog(spaces, run.grid.max_size, max_nodes)
+    report = audit_saturation(run.stages, catalog, max_nodes=max_nodes)
+    doc = audit_to_json(report)
+    write_audit(run_dir, doc)
+    return doc, report.ok
 
 
 if __name__ == "__main__":

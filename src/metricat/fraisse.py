@@ -50,7 +50,7 @@ class DistanceGrid:
 
 def enumerate_spaces(grid: DistanceGrid, *, max_nodes: int | None = None) -> tuple[Space, ...]:
     """Every space over the grid, one per isometry class, smallest first."""
-    budget = NodeBudget(max_nodes)
+    budget = NodeBudget.of(max_nodes)
     out: list[Space] = []
     seen: set[tuple] = set()
     for n in range(grid.max_size + 1):
@@ -63,7 +63,7 @@ def enumerate_spaces(grid: DistanceGrid, *, max_nodes: int | None = None) -> tup
             if _axiom_violations(dist):
                 continue
             space = Space(tuple(tuple(row) for row in dist))
-            canon = canonical_form(space).space
+            canon = canonical_form(space, max_nodes=budget).space
             if canon.dist not in seen:
                 seen.add(canon.dist)
                 out.append(canon)
@@ -90,6 +90,10 @@ class IsometryCatalog:
 
 
 def catalog_isometries(spaces, *, max_size: int | None = None) -> IsometryCatalog:
+    return _catalog(spaces, max_size, NodeBudget())
+
+
+def _catalog(spaces, max_size: int | None, budget: NodeBudget) -> IsometryCatalog:
     spaces = tuple(spaces)
     cap = max_size if max_size is not None else max((s.n for s in spaces), default=0)
     isometries: list[MetMap] = []
@@ -97,9 +101,9 @@ def catalog_isometries(spaces, *, max_size: int | None = None) -> IsometryCatalo
         for Y in spaces:
             if X.n > Y.n:
                 continue
-            auts = automorphisms(Y)
+            auts = automorphisms(Y, max_nodes=budget)
             reps: dict[tuple[int, ...], MetMap] = {}
-            for h in isometry_set(X, Y):
+            for h in isometry_set(X, Y, max_nodes=budget):
                 orbit_min = min(
                     tuple(a.map[p] for p in h.map) for a in auts
                 )
@@ -199,11 +203,11 @@ def chain_step(space: Space, spans, *, max_points: int | None = None):
     return apex, k, tuple(records)
 
 
-def _span_dedup_group(h: MetMap) -> tuple[tuple[int, ...], ...]:
+def _span_dedup_group(h: MetMap, budget: NodeBudget) -> tuple[tuple[int, ...], ...]:
     """Domain automorphisms tau with h∘tau equal to some aut of cod ∘ h."""
-    cod_orbit = {tuple(a.map[p] for p in h.map) for a in automorphisms(h.cod)}
+    cod_orbit = {tuple(a.map[p] for p in h.map) for a in automorphisms(h.cod, max_nodes=budget)}
     group = []
-    for tau in automorphisms(h.dom):
+    for tau in automorphisms(h.dom, max_nodes=budget):
         if tuple(h.map[p] for p in tau.map) in cod_orbit:
             group.append(tuple(tau.map))
     return tuple(group)
@@ -217,25 +221,21 @@ def gather_spans(space: Space, stratum, policy: SpanPolicy,
     With ``max_spans`` set, BudgetExceeded is raised at the first span past
     the cap, before any further search.
     """
+    budget = NodeBudget.of(max_nodes)
     spans: list[Span] = []
     skipped = 0
     for h in stratum:
         X = h.dom
-        anchors = (
-            isometry_set(X, space, max_nodes=max_nodes)
-            if policy.isometric_u
-            else hom_set(X, space, max_nodes=max_nodes)
-        )
-        group = _span_dedup_group(h)
+        anchors = (isometry_set if policy.isometric_u else hom_set)(X, space, max_nodes=budget)
+        group = _span_dedup_group(h, budget)
         seen: set[tuple[int, ...]] = set()
         for u in anchors:
             key = min(tuple(u.map[p] for p in tau) for tau in group)
             if key in seen:
                 continue
             seen.add(key)
-            if policy.skip_satisfied and isometric_fillers(
-                h, u, first_only=True, max_nodes=max_nodes
-            ):
+            if policy.skip_satisfied and isometric_fillers(h, u, first_only=True,
+                                                           max_nodes=budget):
                 skipped += 1
                 continue
             spans.append(Span(u, h))
@@ -252,27 +252,30 @@ def build_chain(grid: DistanceGrid, steps: int, policy: SpanPolicy | str = DEFAU
     """Grow the chain K_0 = empty -> K_1 -> ... for the given number of steps.
 
     Returns (stages, catalog).  On a budget violation the exception carries
-    the stages completed so far, so callers can persist the partial chain.
+    the stages completed so far and the catalog (None if it was not yet
+    complete), so callers can persist the partial chain.
     """
     if isinstance(policy, str):
         policy = POLICIES[policy]
     span_cap = DEFAULT_SPAN_BUDGET if max_spans is None else max_spans
-    catalog = catalog_isometries(enumerate_spaces(grid), max_size=grid.max_size)
+    budget = NodeBudget.of(max_nodes)
     stages: list[ChainStage] = []
-    current = empty_space()
-    for n in range(steps):
-        try:
+    current, catalog = empty_space(), None
+    try:
+        catalog = _catalog(enumerate_spaces(grid, max_nodes=budget), grid.max_size, budget)
+        for n in range(steps):
             spans, skipped = gather_spans(
                 current, catalog.stratum(n), policy,
-                max_nodes=max_nodes, max_spans=span_cap,
+                max_nodes=budget, max_spans=span_cap,
             )
             nxt, k, records = chain_step(current, spans, max_points=max_points)
-        except BudgetExceeded as exc:
-            stages.append(ChainStage(n, current, None, (), 0, n, False))
-            exc.partial = (tuple(stages), catalog)
-            raise
-        stages.append(ChainStage(n, current, k, records, skipped, n, True))
-        current = nxt
+            stages.append(ChainStage(n, current, k, records, skipped, n, True))
+            current = nxt
+    except BudgetExceeded as exc:
+        n = len(stages)
+        stages.append(ChainStage(n, current, None, (), 0, n, False))
+        exc.partial = (tuple(stages), catalog)
+        raise
     stages.append(ChainStage(steps, current, None, (), 0, steps, True))
     return tuple(stages), catalog
 
@@ -301,6 +304,7 @@ def audit_saturation(stages, catalog: IsometryCatalog,
                      *, max_nodes: int | None = None) -> AuditReport:
     """Certify: every isometric u': X -> K_n extends along every stratum-n
     isometry h: X -> Y to an isometric v: Y -> K_{n+1} with v∘h = k∘u'."""
+    budget = NodeBudget.of(max_nodes)
     out = []
     ok = True
     for n in range(len(stages) - 1):
@@ -311,11 +315,10 @@ def audit_saturation(stages, catalog: IsometryCatalog,
         checked = 0
         missing = []
         for h in catalog.stratum(stage.stratum):
-            for u in isometry_set(h.dom, stage.space, max_nodes=max_nodes):
+            for u in isometry_set(h.dom, stage.space, max_nodes=budget):
                 checked += 1
                 pinned = u.then(k)
-                if not isometric_fillers(h, pinned, first_only=True,
-                                         max_nodes=max_nodes):
+                if not isometric_fillers(h, pinned, first_only=True, max_nodes=budget):
                     missing.append(AuditWitness(n, h, u))
         if missing:
             ok = False

@@ -109,17 +109,12 @@ def _wrap(dom: Space, cod: Space, tuples) -> tuple[MetMap, ...]:
 
 
 def _enumerate(cache: _Cache, dom: Space, cod: Space, exact: bool,
-               max_nodes: int | None) -> tuple[MetMap, ...]:
-    budget = NodeBudget(max_nodes)
-    hit = cache.get((dom, cod))
-    if hit is not None:
-        budget.spend(hit[1])
-        return hit[0]
+               max_nodes: int | NodeBudget | None) -> tuple[MetMap, ...]:
+    budget = NodeBudget.of(max_nodes)
     # A cached result is searched for once: its rank translation would
     # never be looked up again.
-    maps = _wrap(dom, cod, _search(dom, cod, exact, budget, memo=False))
-    cache[(dom, cod)] = (maps, budget.used)
-    return maps
+    return budget.cached(cache, (dom, cod), lambda: _wrap(
+        dom, cod, _search(dom, cod, exact, budget, memo=False)))
 
 
 def hom_set(dom: Space, cod: Space, *, max_nodes: int | None = None) -> tuple[MetMap, ...]:
@@ -153,7 +148,7 @@ def isometric_fillers(
     """
     if h.dom != pinned.dom:
         raise InvalidMorphism("filler search needs a shared domain")
-    budget = NodeBudget(max_nodes)
+    budget = NodeBudget.of(max_nodes)
     forced: dict[int, int] = {}
     for y, k in zip(h.map, pinned.map):
         if forced.setdefault(y, k) != k:

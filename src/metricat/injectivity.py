@@ -10,15 +10,19 @@ each tolerance into a rank once: the largest rank at most the tolerance.  A
 distance is within the tolerance exactly when its rank is at most that rank,
 so every verdict stays exact; a witness's distance is mapped back to its
 ExtRat value only for the answer.
+One budget covers a call; its loops charge one node per candidate map
+tried, in bulk once per outer iteration.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Literal
 
+from .budgets import NodeBudget
 from .canonical import canonical_form
 from .errors import UsageError
 from .extrat import INF, ZERO, ExtRat, rat
@@ -71,19 +75,20 @@ def injectivity_defect(subject: Space, f: MetMap, *, max_nodes: int | None = Non
     exactly when the defect is <= eps; a zero defect certifies injectivity
     at every positive tolerance at once.
     """
-    return _defect(subject, f, hom_set(f.dom, subject, max_nodes=max_nodes),
-                   hom_set(f.cod, subject, max_nodes=max_nodes))
+    budget = NodeBudget.of(max_nodes)
+    return _defect(subject, f, hom_set(f.dom, subject, max_nodes=budget),
+                   hom_set(f.cod, subject, max_nodes=budget), budget)
 
 
-def _defect(subject: Space, f: MetMap, homA, homB):
+def _defect(subject: Space, f: MetMap, homA, homB, budget: NodeBudget):
     """``injectivity_defect`` over the fetched hom-sets A -> K and B -> K."""
     values, rank = _scale(subject)
     if values[-1] != INF:
         values += (INF,)
     top = len(values) - 1   # the rank of INF, the distance when no h exists
     n = subject.n
-    # h∘f as row offsets into the subject's rank table
-    composites = [tuple(h.map[p] * n for p in f.map) for h in homB]
+    # each h, numbered from 1, with h∘f as row offsets into the rank table
+    composites = [(i, h, tuple(h.map[p] * n for p in f.map)) for i, h in enumerate(homB, 1)]
     worst = 0
     worst_g = None
     best_h = None
@@ -91,7 +96,8 @@ def _defect(subject: Space, f: MetMap, homA, homB):
         gm = g.map
         best = top
         best_for_g = None
-        for h, hf in zip(homB, composites):
+        tried = 0
+        for tried, h, hf in composites:
             d = 0
             for row, q in zip(hf, gm):
                 x = rank[row + q]
@@ -102,6 +108,7 @@ def _defect(subject: Space, f: MetMap, homA, homB):
                 best_for_g = h
                 if not d:
                     break
+        budget.spend(tried)
         if best > worst:
             worst = best
             worst_g = g
@@ -112,12 +119,13 @@ def _defect(subject: Space, f: MetMap, homA, homB):
 def is_eps_injective(subject: Space, f: MetMap, eps, *, max_nodes: int | None = None):
     """(verdict, witness): witness is the unfillable g on failure."""
     e = rat(eps)
-    homA = hom_set(f.dom, subject, max_nodes=max_nodes)
-    homB = hom_set(f.cod, subject, max_nodes=max_nodes)
+    budget = NodeBudget.of(max_nodes)
+    homA = hom_set(f.dom, subject, max_nodes=budget)
+    homB = hom_set(f.cod, subject, max_nodes=budget)
     if homA and not homB:
         # no filler exists at all, not even at infinite tolerance
         return False, homA[0]
-    defect, worst_g, _ = _defect(subject, f, homA, homB)
+    defect, worst_g, _ = _defect(subject, f, homA, homB, budget)
     if defect <= e:
         return True, None
     return False, worst_g
@@ -144,11 +152,12 @@ class InjReport:
 def inj_class(morphisms, eps, candidates, *, max_nodes: int | None = None):
     """One report per candidate subject, tested against every morphism."""
     e = rat(eps)
+    budget = NodeBudget.of(max_nodes)
     reports = []
     for subject in candidates:
         verdicts = []
         for f in morphisms:
-            ok, witness = is_eps_injective(subject, f, e, max_nodes=max_nodes)
+            ok, witness = is_eps_injective(subject, f, e, max_nodes=budget)
             verdicts.append(InjVerdict(f, ok, witness))
         reports.append(InjReport(subject, e, tuple(verdicts)))
     return reports
@@ -182,9 +191,11 @@ def is_eps_split(f: MetMap, eps, *, max_nodes: int | None = None):
     n = K.n
     # d(p(f(k)), k) is read from row k of K's rank table
     rows = tuple((k * n, q) for k, q in enumerate(f.map))
+    budget = NodeBudget.of(max_nodes)
     best = None
     best_d = None
-    for p in hom_set(f.cod, K, max_nodes=max_nodes):
+    tried = 0
+    for tried, p in enumerate(hom_set(f.cod, K, max_nodes=budget), 1):
         pm = p.map
         d = 0
         for row, q in rows:
@@ -195,6 +206,7 @@ def is_eps_split(f: MetMap, eps, *, max_nodes: int | None = None):
             best_d, best = d, p
             if not d:
                 break
+    budget.spend(tried)
     if best_d is not None and best_d <= _within(values, e):
         return True, best
     return False, None
@@ -208,17 +220,22 @@ def is_eps_mono(f: MetMap, eps, family: TestFamily | None = None,
     values, rank = _scale(f.dom)
     limit = _within(values, e)
     n = f.dom.n
+    budget = NodeBudget.of(max_nodes)
     for C in fam.spaces:
-        maps = hom_set(C, f.dom, max_nodes=max_nodes)
+        maps = hom_set(C, f.dom, max_nodes=budget)
         groups: dict[tuple[int, ...], list[MetMap]] = {}
         for g in maps:
             key = tuple(f.map[p] for p in g.map)
             groups.setdefault(key, []).append(g)
+        tried = 0
         for members in groups.values():
             for g, h in combinations(members, 2):
+                tried += 1
                 for p, q in zip(g.map, h.map):
                     if rank[p * n + q] > limit:
+                        budget.spend(tried)
                         return False, (C, g, h)
+        budget.spend(tried)
     return True, None
 
 
@@ -257,15 +274,10 @@ def purity(f: MetMap, eps, variant: PurityVariant = "pure",
     # filler: t is good enough when no t(g(a)), u(a) ranks above bound
     bound = _within(kvalues, 2 * e if variant == "weak" else e)
     nK, nL, fm = K.n, L.n, f.map
-    fetched: dict[tuple[Space, Space], tuple[MetMap, ...]] = {}
-
-    def hom(dom: Space, cod: Space) -> tuple[MetMap, ...]:
-        # Each hom-set once per call.  A repeat would find the same maps
-        # under a fresh budget of the same size, so it could not raise.
-        maps = fetched.get((dom, cod))
-        if maps is None:
-            maps = fetched[dom, cod] = hom_set(dom, cod, max_nodes=max_nodes)
-        return maps
+    budget = NodeBudget.of(max_nodes)
+    # Each hom-set once per call, charged once.  The keys are these very
+    # spaces, so a lookup never compares equal spaces entry by entry.
+    hom = cache(lambda dom, cod: hom_set(dom, cod, max_nodes=budget))
 
     for A in fam.spaces:
         homAK = hom(A, K)
@@ -278,25 +290,29 @@ def purity(f: MetMap, eps, variant: PurityVariant = "pure",
             homAB = hom(A, B)
             homBL = hom(B, L)
             homBK = hom(B, K)
+            # the candidate maps numbered from 1, to count the ones tried
+            vs = [(i, v.map) for i, v in enumerate(homBL, 1)]
+            ts = [(i, t.map) for i, t in enumerate(homBK, 1)]
             for g in homAB:
                 gm = g.map
+                tried = 0
                 for u, fu, uk in rows:
                     # admission: some v closes the square within tolerance
-                    admitting = None
-                    for v in homBL:
-                        vm = v.map
+                    admitting = 0
+                    for i, vm in vs:
                         for row, b in zip(fu, gm):
                             if lrank[row + vm[b]] > limit:
                                 break
                         else:
-                            admitting = v
+                            admitting = i
                             break
-                    if admitting is None:
+                    if not admitting:
+                        tried += len(vs)
                         continue
+                    tried += admitting
                     # filler: some t reconstructs u through g within bound
                     best = None
-                    for t in homBK:
-                        tm = t.map
+                    for i, tm in ts:
                         d = 0
                         for row, b in zip(uk, gm):
                             x = krank[row + tm[b]]
@@ -305,11 +321,14 @@ def purity(f: MetMap, eps, variant: PurityVariant = "pure",
                         if best is None or d < best:
                             best = d
                             if best <= bound:
+                                tried += i
                                 break
-                    # best stays None when no t exists at all; that fails
-                    # the square even at infinite tolerance
-                    if best is None or best > bound:
+                    else:
+                        # best stays None when no t exists at all; that fails
+                        # the square even at infinite tolerance
+                        budget.spend(tried + len(ts))
                         return False, PuritySquare(
-                            A, B, u, g, admitting, INF if best is None else kvalues[best]
-                        )
+                            A, B, u, g, homBL[admitting - 1],
+                            INF if best is None else kvalues[best])
+                budget.spend(tried)
     return True, None

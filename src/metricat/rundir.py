@@ -26,10 +26,7 @@ from dataclasses import dataclass
 
 from . import __about__
 from .errors import MismatchedEndpoints, SchemaError
-from .fraisse import (
-    AuditReport, ChainStage, DistanceGrid, IsometryCatalog, Span, SpanRecord,
-    catalog_isometries, enumerate_spaces,
-)
+from .fraisse import AuditReport, ChainStage, DistanceGrid, Span, SpanRecord
 from .serialization import (
     _expect_int, _expect_list, _expect_object, map_from_json, map_to_json,
     rat_from_json, rat_to_json, read_json, space_from_json, space_to_json,
@@ -235,10 +232,6 @@ def load_chain(out_dir: str) -> LoadedRun:
     return LoadedRun(manifest, tuple(stages), grid)
 
 
-def rebuild_catalog(grid: DistanceGrid) -> IsometryCatalog:
-    return catalog_isometries(enumerate_spaces(grid), max_size=grid.max_size)
-
-
 def audit_to_json(report: AuditReport) -> dict:
     return {
         "ok": report.ok,
@@ -256,5 +249,5 @@ def audit_to_json(report: AuditReport) -> dict:
     }
 
 
-def write_audit(out_dir: str, report: AuditReport) -> None:
-    write_json(os.path.join(out_dir, AUDIT), audit_to_json(report))
+def write_audit(out_dir: str, doc: dict) -> None:
+    write_json(os.path.join(out_dir, AUDIT), doc)

@@ -272,7 +272,10 @@ def write_json(path: str, payload: Any) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            # The temp file is gone and its name random: name the target alone.
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise

@@ -36,15 +36,12 @@ cocones are taken bit by bit, and the free points of each are searched by
 the hom-set kernel (``homsearch._search``) with the pinned points forced,
 until a second mediator turns up.
 
-Nodes are charged in bulk, to exactly what a loop over the cocones charges
-up to its outcome, so a budget raises or returns at the same point: each
-checked cocone that keeps the pins of its duplicate positions costs the
-nodes of the full unpruned mediator tree, 1 plus one per target point at
-each free point (nothing when free points meet an empty target), and a
-colimit also costs one node per map tried at each leg.  The apex is ranked
-once per verification on the side (``_Apex``) rather than through the apex
-``Space``'s own cache, which would outlive the check; only a search over
-free apex points ranks it there.
+One budget covers the whole verification.  Each cocone checked costs one
+node (the report's ``checked``); the hom-set fetches and the mediator
+searches charge the nodes they visit, and a cached hom-set charges the nodes
+its search spent.  The apex is ranked once per verification on the side
+(``_Apex``) rather than through the apex ``Space``'s own cache, which would
+outlive the check; only a search over free apex points ranks it there.
 """
 
 from __future__ import annotations
@@ -79,35 +76,22 @@ class VerifyReport:
     counterexample: Counterexample | None
 
 
-class _Prepaid:
-    """The budget of a mediator search with free points, whose nodes were
-    charged before it started."""
-
-    @staticmethod
-    def spend(n: int = 1) -> None:
-        pass
-
-
-_PREPAID = _Prepaid()
-
-
 class _Apex:
     """A candidate apex with its legs and the bridges, whatever the target.
 
     Position k of a cone holds the image of apex point ``flat[k]``; leg
     k's positions run from ``starts[k]`` to ``starts[k + 1]``.
     ``first[p]`` is the first position that pins apex point p, or one past
-    the end for a free point.  A cone pins consistently when each position
-    in ``dup`` agrees with the position ``orig`` that first pins its point.
-    ``tests[k]`` holds the tests that bind at leg k, the leg of their later
-    position: the bridges as position pairs (a, b), and the pins as
-    (a, b, r) with r the index of their distance among ``values``, the
-    apex's sorted distinct distances.  A duplicate pin is a pair at
-    distance zero; the apex pairs are pins only when no apex point is free,
-    as a search checks them otherwise.
+    the end for a free point.  ``tests[k]`` holds the tests that bind at leg
+    k, the leg of their later position: the bridges as position pairs
+    (a, b), and the pins as (a, b, r) with r the index of their distance
+    among ``values``, the apex's sorted distinct distances.  A duplicate pin,
+    at distance zero, ties a later position of an apex point to its first;
+    the apex pairs are pins only when no apex point is free, as a search
+    checks them otherwise.
     """
 
-    __slots__ = ("space", "starts", "first", "dup", "orig", "free", "values", "tests")
+    __slots__ = ("space", "starts", "first", "free", "values", "tests")
 
     def __init__(self, space: Space, legs, bridges):
         self.space = space
@@ -118,10 +102,8 @@ class _Apex:
             first.setdefault(p, k)
         self.free = space.n - len(first)
         self.first = at = [first.get(p, len(flat)) for p in range(space.n)]
-        self.dup = [k for k, p in enumerate(flat) if first[p] != k]
-        self.orig = [first[flat[k]] for k in self.dup]
         self.values = sorted({d for row in space.dist for d in row})
-        pins = [(o, d, 0) for d, o in zip(self.dup, self.orig)]
+        pins = [(first[p], k, 0) for k, p in enumerate(flat) if first[p] != k]
         if not self.free:
             index = {v: r for r, v in enumerate(self.values)}
             pins += [(*sorted((at[i], at[j])), index[space.dist[i][j]])
@@ -204,17 +186,12 @@ class _Leg:
 
 
 class _Join:
-    """The cocones into one target T, checked leg by leg.
+    """The cocones into one target T, checked leg by leg; ``v`` holds the
+    flat cone of the maps picked so far."""
 
-    ``tried`` is the nodes charged per map tried at a leg (1 for a colimit,
-    else 0).  ``v`` holds the flat cone of the maps picked so far.
-    """
+    __slots__ = ("target", "apex", "legs", "budget", "v", "picks", "checked")
 
-    __slots__ = ("target", "apex", "legs", "budget", "tried", "nodes", "v",
-                 "picks", "checked")
-
-    def __init__(self, target: Space, homs, apex: _Apex, eps: ExtRat,
-                 budget: NodeBudget, tried: int):
+    def __init__(self, target: Space, homs, apex: _Apex, eps: ExtRat, budget: NodeBudget):
         values, rank = target.ranks()
         m, top = target.n, len(values) - 1
         # A test at the top rank always holds, so T needs two points for any.
@@ -228,8 +205,7 @@ class _Join:
         starts = apex.starts
         self.legs = [_Leg(h, starts[k], starts[k + 1], tests[k], rank, m)
                      for k, h in enumerate(homs)]
-        self.target, self.apex, self.budget, self.tried = target, apex, budget, tried
-        self.nodes = sum(m ** k for k in range(apex.free + 1))
+        self.target, self.apex, self.budget = target, apex, budget
         self.v = [0] * starts[-1]
         self.picks = [0] * len(homs)
         self.checked = 0
@@ -237,11 +213,9 @@ class _Join:
     def cone(self) -> tuple[MetMap, ...]:
         return tuple(leg.homs[q] for leg, q in zip(self.legs, self.picks))
 
-    def _charge(self, nodes: int) -> None:
-        # Spend nothing on no nodes, as a loop over the cocones would: a
-        # negative limit then still passes a check that charges none.
-        if nodes:
-            self.budget.spend(nodes)
+    def _check(self, cocones: int) -> None:
+        self.checked += cocones
+        self.budget.spend(cocones)
 
     def walk(self, k: int, failing: bool):
         """Check the cocones that extend the maps picked for the legs before
@@ -249,7 +223,7 @@ class _Join:
         has exactly one mediator, else the mediators of the first that does
         not, whose maps ``cone`` returns."""
         if k == len(self.legs):
-            self.checked += 1
+            self._check(1)
             return () if failing else self._search()
         leg, v = self.legs[k], self.v
         adm = leg.adm
@@ -261,21 +235,15 @@ class _Join:
             for a, near in leg.cross_ok:
                 ok &= near[v[a]]
         if k + 1 == len(self.legs) and not self.apex.free:
-            # Every admissible map below the first that breaks a pin is a
-            # cocone checked and passed, at one node each.
+            # Every admissible map up to the first that breaks a pin is a
+            # cocone checked; all before that one pass.
             bad = adm & ~ok
             stop = (bad & -bad).bit_length() - 1
-            passed = (adm & ((1 << stop) - 1) if bad else adm).bit_count()
-            self.checked += passed
+            self._check((adm & ((2 << stop) - 1) if bad else adm).bit_count())
             if not bad:
-                self._charge(passed + self.tried * len(leg.maps))
                 return None
             self.picks[k] = stop
             v[leg.span] = leg.maps[stop]
-            self.checked += 1
-            dup = self.apex.dup
-            kept = all(v[d] == v[o] for d, o in zip(dup, self.apex.orig))
-            self._charge(passed + kept + self.tried * (stop + 1))
             return ()
         while adm:
             low = adm & -adm
@@ -284,19 +252,16 @@ class _Join:
             v[leg.span] = leg.maps[q]
             meds = self.walk(k + 1, not ok & low)
             if meds is not None:
-                self._charge(self.tried * (q + 1))
                 return meds
             adm ^= low
-        self._charge(self.tried * len(leg.maps))
         return None
 
     def _search(self):
         """The mediators of the picked cocone, which keeps its duplicate
         pins: None when there is exactly one."""
         apex, target, v = self.apex, self.target, self.v
-        self.budget.spend(self.nodes)
         forced = {p: v[k] for p, k in enumerate(apex.first) if k < len(v)}
-        found = _search(apex.space, target, False, _PREPAID, forced, memo=False)
+        found = _search(apex.space, target, False, self.budget, forced, memo=False)
         first_two = tuple(islice(found, 2))
         if len(first_two) == 1:
             return None
@@ -305,9 +270,10 @@ class _Join:
 
 
 def _verify(p: Presentation, apex: Space, legs, eps: ExtRat, targets,
-            budget: NodeBudget, tried: int = 0) -> VerifyReport:
+            max_nodes: int | NodeBudget | None) -> VerifyReport:
     """Check the cocones of ``p`` into each target against the apex and its
     legs."""
+    budget = NodeBudget.of(max_nodes)
     if len(legs) != len(p.pieces) or any(
             leg.dom != piece or leg.cod != apex for leg, piece in zip(legs, p.pieces)):
         raise MismatchedEndpoints("the legs must map the pieces into the apex")
@@ -318,8 +284,8 @@ def _verify(p: Presentation, apex: Space, legs, eps: ExtRat, targets,
     a = _Apex(apex, maps, p.bridges)
     checked = 0
     for target in targets:
-        homs = [hom_set(o, target) for o in p.pieces]
-        join = _Join(target, homs, a, eps, budget, tried)
+        homs = [hom_set(o, target, max_nodes=budget) for o in p.pieces]
+        join = _Join(target, homs, a, eps, budget)
         # A free apex point has no image in an empty target.
         meds = join.walk(0, bool(a.free) and not target.n)
         checked += join.checked
@@ -332,21 +298,18 @@ def _verify(p: Presentation, apex: Space, legs, eps: ExtRat, targets,
 def verify_pushout(result: EpsPushoutResult, f: MetMap, g: MetMap,
                    targets, *, max_nodes: int | None = None) -> VerifyReport:
     """Check Def-style universality of a claimed eps-pushout of (f, g)."""
-    budget = NodeBudget(max_nodes)
     return _verify(span_presentation(f, g), result.apex, (result.leg_g, result.leg_f),
-                   result.eps, targets, budget)
+                   result.eps, targets, max_nodes)
 
 
 def verify_coequalizer(result: EpsCoequalizerResult, f: MetMap, g: MetMap,
                        targets, *, max_nodes: int | None = None) -> VerifyReport:
-    budget = NodeBudget(max_nodes)
     return _verify(pair_presentation(f, g), result.apex, (result.leg,), result.eps,
-                   targets, budget)
+                   targets, max_nodes)
 
 
 def verify_colimit(result: EpsColimitResult, diagram: FinDiagram,
                    targets, *, max_nodes: int | None = None) -> VerifyReport:
     """Check universality against every eps-commuting cocone."""
-    budget = NodeBudget(max_nodes)
     return _verify(diagram_presentation(diagram), result.apex, result.legs, result.eps,
-                   targets, budget, tried=1)
+                   targets, max_nodes)

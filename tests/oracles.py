@@ -207,56 +207,61 @@ def verify_brute(apex, legs, eps, objects, bridges, targets):
     return True, checked, None, None, None
 
 
-def verify_nodes_brute(apex, legs, eps, objects, bridges, targets, *, colimit=False):
+def search_nodes_brute(dom, cod, forced=None):
+    """The nodes of a backtracking search of the non-expansive maps dom ->
+    cod that assigns the points in order, ``forced`` pinning some to one
+    image: one per candidate image of point i after each prefix of images for
+    the points before i, forced or free, that is non-expansive.  Counted by
+    plain prefix enumeration."""
+    forced = forced or {}
+    nodes = 0
+    for i in range(dom.n):
+        choices = [(forced[p],) if p in forced else range(cod.n) for p in range(i)]
+        prefixes = sum(
+            all(cod.dist[arr[p]][arr[q]] <= dom.dist[p][q]
+                for p in range(i) for q in range(p + 1, i))
+            for arr in itertools.product(*choices))
+        nodes += prefixes * (1 if i in forced else cod.n)
+    return nodes
+
+
+def verify_nodes_brute(apex, legs, eps, objects, bridges, targets):
     """The search nodes a verifier charges up to its outcome, by plain
     enumeration.
 
-    The arguments are those of ``verify_brute``; ``colimit`` marks a
-    verify_colimit.  A failed square charges nothing.  Each checked cocone
-    up to and including the outcome costs, when its legs pin every apex
-    point they reach to one image, the nodes of the full mediator tree into
-    an m-point target: 1 + m + ... + m^free, with ``free`` the apex points
-    no leg reaches, or nothing when free points meet an empty target.  A
-    verify_colimit also pays one node per map tried at each level: each
-    prefix of maps for objects 0..k whose maps for 0..k-1 keep the bridges
-    among them, up to the outcome's prefix in lexicographic order.
+    The arguments are those of ``verify_brute``.  A failed square charges
+    nothing.  Each target up to the outcome's charges the searches of its
+    hom-sets, one per object (``search_nodes_brute``).  Each cocone checked,
+    up to and including the outcome, costs one node; one whose legs pin each
+    apex point they reach to one image, with apex points no leg reaches and a
+    target with points, also costs the nodes of the mediator search with the
+    pinned points forced.
     """
-    def within(space, maps, upto):
-        return all(space.dist[maps[i][x]][maps[j][y]] <= eps
-                   for i, x, j, y in bridges if max(i, j) < upto)
+    def within(space, maps):
+        return all(space.dist[maps[i][x]][maps[j][y]] <= eps for i, x, j, y in bridges)
 
-    if not within(apex, legs, len(legs)):
+    if not within(apex, legs):
         return 0
-    free = apex.n - len({p for leg in legs for p in leg})
     nodes = 0
     for target in targets:
-        m = target.n
         homs = [hom_brute(obj, target) for obj in objects]
-        outcome = None
-        for picks in itertools.product(*(range(len(h)) for h in homs)):
-            cone = [h[q] for h, q in zip(homs, picks)]
-            if not within(target, cone, len(cone)):
+        nodes += sum(search_nodes_brute(obj, target) for obj in objects)
+        for cone in itertools.product(*homs):
+            if not within(target, cone):
                 continue
-            choices = [set(range(m)) for _ in range(apex.n)]
+            nodes += 1
+            forced, pinned = {}, True
             for leg, c in zip(legs, cone):
                 for x, p in enumerate(leg):
-                    choices[p] &= {c[x]}
-            if all(choices[p] for leg in legs for p in leg) and (m or not free):
-                nodes += sum(m ** k for k in range(free + 1))
-            mediators = [arr for arr in itertools.product(*map(sorted, choices))
-                         if all(target.dist[arr[p]][arr[q]] <= apex.dist[p][q]
-                                for p in range(apex.n) for q in range(apex.n))]
+                    pinned &= forced.setdefault(p, c[x]) == c[x]
+            if pinned and len(forced) < apex.n and target.n:
+                nodes += search_nodes_brute(apex, target, forced)
+            choices = [{forced[p]} if p in forced else range(target.n) for p in range(apex.n)]
+            mediators = [arr for arr in itertools.product(*choices)
+                         if pinned and all(target.dist[arr[p]][arr[q]] <= apex.dist[p][q]
+                                           for p in range(apex.n) for q in range(apex.n))]
             if len(mediators) != 1:
-                outcome = picks
-                break
-        for k in range(len(homs) if colimit else 0):
-            for prefix in itertools.product(*(range(len(h)) for h in homs[:k + 1])):
-                if outcome is not None and prefix > outcome[:k + 1]:
-                    break
-                if within(target, [h[q] for h, q in zip(homs, prefix)], k):
-                    nodes += 1
-        if outcome is not None:
-            break
+                return nodes
     return nodes
 
 

@@ -1,9 +1,11 @@
 import json
 import os
+import re
 
 import pytest
 from click.testing import CliRunner
 
+from metricat import canonical, colimits, homsearch
 from metricat.cli import main
 from metricat.colimits import FinDiagram
 from metricat.serialization import (
@@ -282,6 +284,8 @@ class TestFraisseCommands:
         assert manifest["outcome"] == {"complete": True, "stages": [0, 1, 4]}
         audited = invoke(["fraisse", "audit", run_dir])
         assert audited.exit_code == 0
+        with open(os.path.join(run_dir, "audit.json"), "rb") as fh:
+            assert fh.read() == audited.stdout_bytes
         audit = read_json(os.path.join(run_dir, "audit.json"))
         assert audit["ok"] is True
 
@@ -487,6 +491,11 @@ BUDGETED = {
 }
 
 
+# The nodes each of them spends: its searches, cocones checked and tester loops.
+LEAST_NODES = {"audit": 37, "canon": 5, "coequalizer": 124, "diagram": 1755, "enumerate": 83,
+               "injective": 25, "mono": 1, "pure": 9, "pushout": 480, "split": 3}
+
+
 def _budgeted(command, tmp_path):
     return [TestRunDirectoryErrors._build(tmp_path) if a == "RUN" else a
             for a in BUDGETED[command]]
@@ -583,8 +592,41 @@ class TestCommandContract:
             os.mkdir(os.path.join(run_dir, "audit.json"))
             args = ["fraisse", "audit", run_dir]
         before = _files(tmp_path)
-        result = invoke(args)
-        assert result.exit_code == 2
+        result, again = invoke(args), invoke(args)
+        assert result.exit_code == again.exit_code == 2
         assert result.stderr.startswith("error: ")
+        assert result.stderr == again.stderr
+        assert ".tmp" not in result.stderr
         assert "Traceback" not in result.output
         assert _files(tmp_path) == before
+
+    @pytest.mark.parametrize("command", sorted(BUDGETED))
+    def test_budget_outcome_does_not_depend_on_the_caches(self, tmp_path, command):
+        # The least budget that passes with cold caches, the whole command's
+        # nodes, passes, and one node less exits 3, with cold caches and
+        # after a run that warmed them.
+        args = _budgeted(command, tmp_path)
+
+        def run(nodes, warm=False):
+            homsearch.clear_caches()
+            canonical.clear_cache()
+            colimits.clear_cache()
+            if warm:
+                invoke(args)
+            return invoke([*args, "--budget-nodes", str(nodes)])
+
+        passed = invoke(args).exit_code
+        low, high = 0, 1
+        while run(high).exit_code == 3:
+            low, high = high, 2 * high
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if run(mid).exit_code == 3 else (low, mid)
+        assert high == LEAST_NODES[command]
+        for warm in (False, True):
+            assert run(high, warm).exit_code == passed
+            short = run(high - 1, warm)
+            assert short.exit_code == 3
+            spent = re.fullmatch(r"budget exceeded: search spent (\d+) nodes, "
+                                 rf"over the node budget of {high - 1}\n", short.stderr)
+            assert int(spent[1]) >= high

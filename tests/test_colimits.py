@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metricat import colimits
+import os
+
+from metricat import colimits, homsearch
 from metricat.canonical import are_isomorphic, canonical_form
 from metricat.colimits import (
     EpsCoequalizerResult,
@@ -31,6 +33,7 @@ from metricat.errors import (
 )
 from metricat.extrat import INF, ZERO, ExtRat, rat
 from metricat.homsearch import hom_set
+from metricat.serialization import pair_from_json, read_json
 from metricat.spaces import (
     MetMap,
     Space,
@@ -525,10 +528,11 @@ class TestVerifyMatchesBrute:
                                  diagram.objects, bridges, targets, report)
 
     def test_node_charge_with_free_apex_points(self):
-        # Two apex points no leg reaches: each mediator search charges
-        # 1 + m + m^2 nodes into an m-point target, pruned or not.  Into the
-        # point (one cospan, 3 nodes), then the first cospan into the path
-        # (13 nodes): 16 in all.
+        # Two apex points no leg reaches.  Into the point: the two hom-set
+        # searches (2 + 3 nodes), one cospan (1) and its mediator search, one
+        # node per apex point (7): 13.  Into the path: the hom-set searches
+        # (12 + 33), the first cospan (1) and its mediator search, one node
+        # per pinned point and 3 + 9 for the free ones (17): 63.  76 in all.
         path = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         f = MetMap(one_point(), two_point(1), (0,))
         g = MetMap(one_point(), path, (1,))
@@ -537,31 +541,34 @@ class TestVerifyMatchesBrute:
         inj = padded.injections[0]
         bad = EpsPushoutResult(padded.space, res.leg_f.then(inj), res.leg_g.then(inj), res.eps)
         targets = [one_point(), path]
-        report = verify_pushout(bad, f, g, targets, max_nodes=16)
+        report = verify_pushout(bad, f, g, targets, max_nodes=76)
         assert report.checked == 2
         assert report.counterexample.kind == "uniqueness"
         assert len(report.counterexample.mediators) == 9
         with pytest.raises(BudgetExceeded):
-            verify_pushout(bad, f, g, targets, max_nodes=15)
+            verify_pushout(bad, f, g, targets, max_nodes=75)
 
     def test_no_charge_without_candidates(self):
         # Free apex points and an empty target: no candidate image, so the
-        # mediator search is not started and charges nothing.
+        # mediator search is not started, and only the one cospan checked
+        # is charged.
         e = empty_space()
         f = g = identity(e)
         res = eps_pushout(f, g, 1)
         padded = coproduct((res.apex, one_point()))
         bad = EpsPushoutResult(padded.space, res.leg_f.then(padded.injections[0]),
                                res.leg_g.then(padded.injections[0]), res.eps)
-        report = verify_pushout(bad, f, g, [e], max_nodes=0)
+        report = verify_pushout(bad, f, g, [e], max_nodes=1)
         assert (report.checked, report.counterexample.kind) == (1, "existence")
+        with pytest.raises(BudgetExceeded):
+            verify_pushout(bad, f, g, [e], max_nodes=0)
 
 
-def _check_charge(verify, apex, legs, eps, objects, bridges, targets, colimit=False):
+def _check_charge(verify, apex, legs, eps, objects, bridges, targets):
     """``verify(max_nodes)`` returns ``verify_brute``'s report with exactly
     the nodes ``verify_nodes_brute`` counts, and raises with one fewer."""
     maps = [leg.map for leg in legs]
-    charge = verify_nodes_brute(apex, maps, eps, objects, bridges, targets, colimit=colimit)
+    charge = verify_nodes_brute(apex, maps, eps, objects, bridges, targets)
     assert _as_brute(verify(charge)) == verify_brute(apex, maps, eps, objects, bridges, targets)
     if charge:
         with pytest.raises(BudgetExceeded):
@@ -611,4 +618,25 @@ class TestVerifyNodeCharges:
         for _, apex, legs in _candidates(res.apex, res.legs):
             claim = EpsColimitResult(apex, tuple(legs), res.eps)
             _check_charge(lambda n: verify_colimit(claim, diagram, targets, max_nodes=n),
-                          apex, legs, res.eps, diagram.objects, bridges, targets, colimit=True)
+                          apex, legs, res.eps, diagram.objects, bridges, targets)
+
+    def test_committed_span(self):
+        # The fixture of the CLI and CI, at eps 1/2 into the targets of
+        # ``colimit pushout --verify``: 239 cocones checked, with no mediator
+        # search as the legs reach every apex point, and 241 nodes of
+        # hom-set searches, with cold caches or warm.
+        f, g = pair_from_json(read_json(os.path.join(
+            os.path.dirname(__file__), "data", "span.json")))
+        res = eps_pushout(f, g, "1/2")
+        bridges = [(0, f.map[a], 1, g.map[a]) for a in range(f.dom.n)]
+        targets = [res.apex, f.cod, g.cod, one_point(), two_point(1)]
+        maps = [res.leg_g.map, res.leg_f.map]
+        assert verify_nodes_brute(res.apex, maps, res.eps, (f.cod, g.cod),
+                                  bridges, targets) == 480
+        for warm in (False, True):
+            homsearch.clear_caches()
+            if warm:
+                verify_pushout(res, f, g, targets)
+            _check_charge(lambda n: verify_pushout(res, f, g, targets, max_nodes=n),
+                          res.apex, (res.leg_g, res.leg_f), res.eps, (f.cod, g.cod),
+                          bridges, targets)

@@ -4,7 +4,7 @@ from itertools import accumulate
 
 import pytest
 
-from metricat import rundir
+from metricat import canonical, homsearch, rundir
 from metricat.canonical import are_isomorphic
 from metricat.colimits import pushout
 from metricat.errors import BudgetExceeded, SchemaError, UsageError
@@ -27,7 +27,6 @@ from metricat.rundir import (
     grid_to_json,
     load_chain,
     make_manifest,
-    rebuild_catalog,
     write_chain,
 )
 from metricat.spaces import (
@@ -261,6 +260,22 @@ class TestBuildChain:
         partial, _ = err.value.partial
         assert [s.space.n for s in partial] == [0, 1, 7, 133]
 
+    def test_one_node_budget_covers_the_whole_build(self):
+        # Enumeration, catalog, span dedup, gathers and filler searches all
+        # charge the one budget: 1748 nodes, with cold caches or warm.
+        for warm in (False, True):
+            homsearch.clear_caches()
+            canonical.clear_cache()
+            if warm:
+                build_chain(GRID_12, 3)
+            assert len(build_chain(GRID_12, 3, max_nodes=1748)[0]) == 4
+            with pytest.raises(BudgetExceeded, match="over the node budget of 1747"):
+                build_chain(GRID_12, 3, max_nodes=1747)
+        # Out of nodes while cataloguing: the partial chain is K_0 alone.
+        with pytest.raises(BudgetExceeded) as err:
+            build_chain(GRID_12, 3, max_nodes=0)
+        assert [(s.space.n, s.coverage_complete) for s in err.value.partial[0]] == [(0, False)]
+
 
 class TestAudit:
     def test_built_chain_passes(self):
@@ -339,7 +354,8 @@ class TestRunDirectory:
         write_chain(out, stages, manifest)
         run = load_chain(out)
         direct = audit_saturation(stages, catalog)
-        loaded = audit_saturation(run.stages, rebuild_catalog(run.grid))
+        rebuilt = catalog_isometries(enumerate_spaces(run.grid), max_size=run.grid.max_size)
+        loaded = audit_saturation(run.stages, rebuilt)
         assert loaded.ok == direct.ok
         assert [a.checked for a in loaded.stages] == [a.checked for a in direct.stages]
 

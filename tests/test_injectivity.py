@@ -194,6 +194,18 @@ class TestEpsMono:
         f = collapse_chain(1)
         assert is_eps_mono(f, INF, ProbeFamily.of([one_point()]))[0]
 
+    def test_charges_each_pair_compared(self):
+        # Crushing the 2-point space: the hom-set searches spend 2 + 6 nodes,
+        # and the 2 maps from the point and the 4 from the 2-point space
+        # make 1 + 6 pairs with equal composites.  At eps 1/2 the first
+        # pair already fails: 2 + 1 nodes.
+        f = MetMap(two_point(1), one_point(), (0, 0))
+        fam = ProbeFamily((one_point(), two_point(1)))
+        for eps, nodes, ok in ((1, 15, True), (rat("1/2"), 3, False)):
+            assert is_eps_mono(f, eps, fam, max_nodes=nodes)[0] is ok
+            with pytest.raises(BudgetExceeded):
+                is_eps_mono(f, eps, fam, max_nodes=nodes - 1)
+
 
 FAMILY_12 = ProbeFamily.of([one_point(), two_point(2)])
 
@@ -352,17 +364,19 @@ class TestAgainstOracles:
         assert got == injectivity_defect_brute(subject, f)
 
     def test_purity_budget_does_not_depend_on_the_cache(self, monkeypatch):
-        # The dearest search is hom(two_point(1), K): 4 nodes for the first
-        # point and 4 * 4 for the second.
+        # One budget for the call.  The hom-set searches spend 35 nodes, the
+        # dearest hom(two_point(1), K) 4 for the first point and 4 * 4 for
+        # the second.  Each of the 92 squares tries one closing v and one
+        # filler t: 184 more, 219 in all.
         K = validate_space([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
         fam = ProbeFamily((one_point(), two_point(1)))
         clear_caches()
         for warm in (False, True):
-            monkeypatch.setenv("METRICAT_BUDGET_NODES", "19")
+            monkeypatch.setenv("METRICAT_BUDGET_NODES", "218")
             with pytest.raises(BudgetExceeded):
                 purity(identity(K), 1, "pure", fam)
             if not warm:
                 monkeypatch.delenv("METRICAT_BUDGET_NODES")
                 purity(identity(K), 1, "pure", fam)
-            monkeypatch.setenv("METRICAT_BUDGET_NODES", "20")
+            monkeypatch.setenv("METRICAT_BUDGET_NODES", "219")
             assert purity(identity(K), 1, "pure", fam) == (True, None)
