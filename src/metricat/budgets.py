@@ -19,6 +19,7 @@ DEFAULT_POINT_BUDGET = 64          # per constructed space in combinatorial ops
 DEFAULT_NODE_BUDGET = 10_000_000   # per command or top-level library call
 DEFAULT_STAGE_POINT_BUDGET = 256   # per chain stage
 DEFAULT_SPAN_BUDGET = 512          # spans attached per chain step
+CACHE_ENTRIES = 4096               # per memo of search results
 
 _ENV_NODES = "METRICAT_BUDGET_NODES"
 
@@ -57,12 +58,16 @@ class NodeBudget:
 
     def cached(self, cache: dict, key, compute):
         """``compute()``, memoized in ``cache`` with the nodes it spent; a
-        hit charges them again, so the outcome does not depend on the cache."""
+        hit charges them again, so the outcome does not depend on the cache.
+        The cache keeps at most CACHE_ENTRIES entries: an insert into a full
+        cache first evicts the oldest entry."""
         hit = cache.get(key)
         if hit is not None:
             self.spend(hit[1])
             return hit[0]
         start = self.used
         value = compute()
+        if len(cache) >= CACHE_ENTRIES:
+            del cache[next(iter(cache))]
         cache[key] = (value, self.used - start)
         return value

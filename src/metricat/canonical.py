@@ -5,7 +5,8 @@ over all point orderings compatible with an invariant-based partition
 refinement.  Two spaces are isometrically isomorphic exactly when their
 canonical matrices are equal; the tests cross-check this against a raw
 all-permutations oracle.  A canonical form is cached with the nodes its
-search spent, and a cache hit charges them again, as a cached hom-set does.
+search spent, and a cache hit charges them again, as a cached hom-set does;
+the cache is bounded the same way.
 """
 
 from __future__ import annotations

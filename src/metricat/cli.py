@@ -273,13 +273,13 @@ def check():
     """Injectivity, splitness, purity, and mono testers."""
 
 
-def _load_family(path: str | None):
+def _load_family(path: str | None, max_nodes):
     if path is None:
         return None
     from .injectivity import TestFamily
     from .serialization import family_from_json, read_json
 
-    return TestFamily.of(family_from_json(read_json(path)))
+    return TestFamily.of(family_from_json(read_json(path)), max_nodes=max_nodes)
 
 
 @check.command("injective")
@@ -338,7 +338,7 @@ def check_pure(eps, variant, family, infile, max_nodes):
     from .serialization import map_from_json, map_to_json, read_json, space_to_json
 
     f = map_from_json(read_json(infile))
-    ok, square = purity(f, eps, variant, _load_family(family), max_nodes=max_nodes)
+    ok, square = purity(f, eps, variant, _load_family(family, max_nodes), max_nodes=max_nodes)
     return {
         "check": "pure",
         "variant": variant,
@@ -367,7 +367,7 @@ def check_mono(eps, family, infile, max_nodes):
     from .serialization import map_from_json, map_to_json, read_json, space_to_json
 
     f = map_from_json(read_json(infile))
-    ok, witness = is_eps_mono(f, eps, _load_family(family), max_nodes=max_nodes)
+    ok, witness = is_eps_mono(f, eps, _load_family(family, max_nodes), max_nodes=max_nodes)
     return {
         "check": "mono",
         "eps": str(eps),

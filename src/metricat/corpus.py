@@ -2,18 +2,24 @@
 
 Everything here is a pure function of the provided RNG, which callers seed;
 re-running with the same seed reproduces every instance bit for bit.
+
+Equal space draws share one ``Space``: each drawn grid tuple is validated
+once and memoized (a bounded LRU, rejected draws included).  Two draws may
+therefore be the same object whether or not they were drawn as one, so
+callers compare draws by value, never by ``is``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .colimits import FinDiagram
-from .extrat import INF, ExtRat, rat
+from .extrat import INF, ZERO, ExtRat, rat
 from .homsearch import hom_set
 from .reflect import Semimetric
-from .spaces import MetMap, Space, empty_space, identity, one_point, validate_space
+from .spaces import MetMap, Space, identity, one_point, validate_space
 from .errors import SpaceValidationError
 
 DEFAULT_GRID: tuple[ExtRat, ...] = (
@@ -36,24 +42,35 @@ def random_space(rng: random.Random, cfg: CorpusConfig = CorpusConfig(),
     if min_points is not None:
         lo = min_points
     n = rng.randint(lo, cfg.max_points)
-    if n == 0:
-        return empty_space()
+    upper = ()
     for _ in range(200):
-        rows = [[rat(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = rng.choice(cfg.grid)
-                rows[i][j] = rows[j][i] = v
-        try:
-            return validate_space(rows)
-        except SpaceValidationError:
-            continue
-    # all-equal distances always satisfy the axioms
-    v = rng.choice(cfg.grid)
-    rows = [[v] * n for _ in range(n)]
+        upper = tuple(rng.choice(cfg.grid) for _ in range(n * (n - 1) // 2))
+        if (space := _grid_space(n, upper)) is not None:
+            return space
+    # all-equal distances satisfy the axioms unless the value drawn is zero,
+    # which validating the rows again reports
+    upper = (rng.choice(cfg.grid),) * len(upper)
+    space = _grid_space(n, upper)
+    return space if space is not None else validate_space(_rows(n, upper))
+
+
+@lru_cache(maxsize=512)
+def _grid_space(n: int, upper: tuple) -> Space | None:
+    """The space on n points whose upper triangle, row by row, is ``upper``,
+    validated once; None when it breaks an axiom."""
+    try:
+        return validate_space(_rows(n, upper))
+    except SpaceValidationError:
+        return None
+
+
+def _rows(n: int, upper) -> list[list]:
+    rows = [[ZERO] * n for _ in range(n)]
+    values = iter(upper)
     for i in range(n):
-        rows[i][i] = rat(0)
-    return validate_space(rows)
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = next(values)
+    return rows
 
 
 def random_semimetric(rng: random.Random, n: int, values) -> Semimetric:

@@ -12,7 +12,8 @@ from the image of point 0, or for point 0 from the lowest forced point.
 Each candidate tried costs one budget node, whether it came from the index
 or from the whole codomain.  A cached hom-set or isometry set keeps the
 nodes its search spent and a cache hit charges them again, so a budget's
-outcome does not depend on the cache.  The translation of a pair's
+outcome does not depend on the cache; each cache keeps at most
+``budgets.CACHE_ENTRIES`` entries.  The translation of a pair's
 distances into ranks is memoized per (domain, codomain, relation) in a
 bounded LRU for filler searches, whose results are not cached.  Mediator
 searches bypass it, as their apex lives for one verification.

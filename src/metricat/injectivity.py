@@ -37,23 +37,27 @@ class TestFamily:
     spaces: tuple[Space, ...]
 
     @classmethod
-    def of(cls, spaces) -> "TestFamily":
+    def of(cls, spaces, *, max_nodes: int | None = None) -> "TestFamily":
+        """The family of the canonical forms of ``spaces``, all computed
+        under one budget."""
+        budget = NodeBudget.of(max_nodes)
         seen = {}
         for s in spaces:
-            seen.setdefault(canonical_form(s).space, None)
+            seen.setdefault(canonical_form(s, max_nodes=budget).space, None)
         return cls(tuple(sorted(seen, key=lambda s: (s.n, s.dist))))
 
     @classmethod
-    def subspaces_of(cls, space: Space, size_cap: int = 3) -> "TestFamily":
+    def subspaces_of(cls, space: Space, size_cap: int = 3,
+                     *, max_nodes: int | None = None) -> "TestFamily":
         subs = []
         for k in range(0, min(size_cap, space.n) + 1):
             for pts in combinations(range(space.n), k):
                 subs.append(subspace(space, pts)[0])
-        return cls.of(subs)
+        return cls.of(subs, max_nodes=max_nodes)
 
 
-def _default_family(f: MetMap) -> TestFamily:
-    return TestFamily.subspaces_of(f.dom)
+def _default_family(f: MetMap, budget: NodeBudget) -> TestFamily:
+    return TestFamily.subspaces_of(f.dom, max_nodes=budget)
 
 
 def _scale(space: Space):
@@ -216,11 +220,11 @@ def is_eps_mono(f: MetMap, eps, family: TestFamily | None = None,
                 *, max_nodes: int | None = None):
     """f∘g = f∘h forces g, h within eps, over probes from the family."""
     e = rat(eps)
-    fam = family if family is not None else _default_family(f)
+    budget = NodeBudget.of(max_nodes)
+    fam = family if family is not None else _default_family(f, budget)
     values, rank = _scale(f.dom)
     limit = _within(values, e)
     n = f.dom.n
-    budget = NodeBudget.of(max_nodes)
     for C in fam.spaces:
         maps = hom_set(C, f.dom, max_nodes=budget)
         groups: dict[tuple[int, ...], list[MetMap]] = {}
@@ -266,7 +270,8 @@ def purity(f: MetMap, eps, variant: PurityVariant = "pure",
         raise UsageError(f"unknown purity variant: {variant!r}")
     e = rat(eps)
     K, L = f.dom, f.cod
-    fam = family if family is not None else _default_family(f)
+    budget = NodeBudget.of(max_nodes)
+    fam = family if family is not None else _default_family(f, budget)
     kvalues, krank = _scale(K)
     lvalues, lrank = _scale(L)
     # admission: a square closes when no f(u(a)), v(g(a)) ranks above limit
@@ -274,7 +279,6 @@ def purity(f: MetMap, eps, variant: PurityVariant = "pure",
     # filler: t is good enough when no t(g(a)), u(a) ranks above bound
     bound = _within(kvalues, 2 * e if variant == "weak" else e)
     nK, nL, fm = K.n, L.n, f.map
-    budget = NodeBudget.of(max_nodes)
     # Each hom-set once per call, charged once.  The keys are these very
     # spaces, so a lookup never compares equal spaces entry by entry.
     hom = cache(lambda dom, cod: hom_set(dom, cod, max_nodes=budget))

@@ -68,11 +68,15 @@ def _draw_near(rng: random.Random, maps, center: MetMap, e: ExtRat) -> MetMap:
 
 def _draw_composable(rng: random.Random) -> tuple[MetMap, MetMap]:
     """f: K -> L, g: L -> M; identity draws keep premise rates useful."""
+    # Equal draws may be one shared Space, so "drawn as the same space" is
+    # carried as a flag, never read off identity.
     K = random_space(rng, _SMALL)
-    L = K if rng.random() < 0.25 else random_space(rng, _SMALL)
-    M = L if rng.random() < 0.25 else random_space(rng, _SMALL)
-    f = identity(K) if (L is K and rng.random() < 0.5) else _draw_map(rng, K, L)
-    g = identity(L) if (M is L and rng.random() < 0.5) else _draw_map(rng, L, M)
+    same_l = rng.random() < 0.25
+    L = K if same_l else random_space(rng, _SMALL)
+    same_m = rng.random() < 0.25
+    M = L if same_m else random_space(rng, _SMALL)
+    f = identity(K) if (same_l and rng.random() < 0.5) else _draw_map(rng, K, L)
+    g = identity(L) if (same_m and rng.random() < 0.5) else _draw_map(rng, L, M)
     return f, g
 
 

@@ -408,3 +408,26 @@ def random_symmetric_matrix(rng, n, values):
             dist[i][j] = v
             dist[j][i] = v
     return [tuple(row) for row in dist]
+
+
+def random_space_brute(rng, cfg, *, min_points=None) -> Space:
+    """``corpus.random_space`` as a plain draw loop: every draw builds and
+    checks its own matrix, with the same RNG calls in the same order."""
+    lo = 0 if cfg.allow_empty else 1
+    if min_points is not None:
+        lo = min_points
+    n = rng.randint(lo, cfg.max_points)
+    if n == 0:
+        return Space(())
+    for _ in range(200):
+        rows = [[ZERO] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                v = rng.choice(cfg.grid)
+                rows[i][j] = rows[j][i] = v
+        dist = tuple(map(tuple, rows))
+        if not axiom_violations_brute(dist):
+            return Space(dist)
+    # all-equal distances; Space itself rejects a zero value
+    v = rng.choice(cfg.grid)
+    return Space(tuple(tuple(ZERO if i == j else v for j in range(n)) for i in range(n)))

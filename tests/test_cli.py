@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -23,6 +24,7 @@ PATH3 = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SPACE = os.path.join(DATA, "space.json")      # PATH3
 SECTION = os.path.join(DATA, "section.json")  # one_point() -> two_point(1), map [0]
+FAMILY = os.path.join(DATA, "family.json")    # PATH3 and two_point(1)
 
 # Every command that writes a document, run on the committed fixtures. The
 # CI workflow runs the same lines through the console script.
@@ -41,6 +43,10 @@ DOCUMENTS = {
     "enumerate": ["fraisse", "enumerate", "--grid", "1,2", "--max-size", "3"],
     "laws": ["laws", "run", "--seed", "0", "--trials", "3"],
 }
+
+
+# sha256 of the stdout of `metricat laws run --seed 0 --trials 120`.
+LAWS_RUN_SHA256 = "87fee57362cfaabf8814e9963110836b2bf7b0826e41d89a97e2963a2f7e3c0a"
 
 
 def invoke(args):
@@ -263,6 +269,13 @@ class TestLawsCommand:
         doc = read_json(out)
         assert doc["ok"] is True
         assert len(doc["results"]) == 28
+
+    def test_standard_run_output_is_pinned(self):
+        # The report of the standard run, byte for byte; the workflow pins
+        # the same digest for the console script, serial and on two workers.
+        result = invoke(["laws", "run", "--seed", "0", "--trials", "120"])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == LAWS_RUN_SHA256
 
 
 class TestFraisseCommands:
@@ -488,12 +501,16 @@ def _files(root):
 BUDGETED = {
     **{name: args for name, args in DOCUMENTS.items() if name != "laws"},
     "audit": ["fraisse", "audit", "RUN"],
+    "mono-family": [*DOCUMENTS["mono"], "--family", FAMILY],
+    "pure-family": [*DOCUMENTS["pure"], "--family", FAMILY],
 }
 
 
-# The nodes each of them spends: its searches, cocones checked and tester loops.
+# The nodes each of them spends: its searches, cocones checked, tester loops
+# and the canonical forms of the probe family.
 LEAST_NODES = {"audit": 37, "canon": 5, "coequalizer": 124, "diagram": 1755, "enumerate": 83,
-               "injective": 25, "mono": 1, "pure": 9, "pushout": 480, "split": 3}
+               "injective": 25, "mono": 1, "mono-family": 14, "pure": 9, "pure-family": 151,
+               "pushout": 480, "split": 3}
 
 
 def _budgeted(command, tmp_path):

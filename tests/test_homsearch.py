@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from metricat import homsearch
+from metricat.budgets import CACHE_ENTRIES, NodeBudget
 from metricat.corpus import CorpusConfig, random_space
 from metricat.errors import BudgetExceeded
 from metricat.extrat import INF, rat
@@ -105,6 +107,23 @@ class TestHomSet:
         assert hom_set(big, big) is maps
         with pytest.raises(BudgetExceeded):
             hom_set(big, big, max_nodes=10)
+
+    def test_cache_is_bounded_and_an_evicted_entry_charges_the_same(self):
+        big = validate_space([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
+        clear_caches()
+
+        def nodes():
+            budget = NodeBudget()
+            hom_set(big, big, max_nodes=budget)
+            return budget.used
+
+        cold = nodes()
+        for k in range(1, CACHE_ENTRIES + 10):
+            hom_set(two_point(k), one_point())
+            assert len(homsearch._hom_cache) <= CACHE_ENTRIES
+        assert (big, big) not in homsearch._hom_cache   # the oldest went first
+        assert nodes() == cold                           # searched again
+        assert nodes() == cold                           # a hit
 
     @given(st.integers(0, 2**30))
     def test_agrees_with_brute_enumeration_on_mixed_values(self, seed):

@@ -1,9 +1,13 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from metricat import canonical
+from metricat.budgets import NodeBudget
+from metricat.canonical import canonical_form
 from metricat.corpus import CorpusConfig, random_space, random_split_mono
 from metricat.errors import BudgetExceeded, UsageError
 from metricat.extrat import INF, ZERO, rat
@@ -323,6 +327,24 @@ class TestProbeFamilies:
         fam = ProbeFamily.subspaces_of(two_point(1))
         assert fam.spaces[0].n == 0
         assert {s.n for s in fam.spaces} == {0, 1, 2}
+
+    def test_canonical_forms_are_charged_to_one_budget(self):
+        subs = [subspace(PATH3, pts)[0] for k in range(4) for pts in combinations(range(3), k)]
+        each = []
+        for sub in subs:
+            budget = NodeBudget()
+            canonical_form(sub, max_nodes=budget)
+            each.append(budget.used)
+        canonical.clear_cache()
+        for _ in range(2):  # cold, then warm
+            budget = NodeBudget()
+            ProbeFamily.subspaces_of(PATH3, max_nodes=budget)
+            assert budget.used == sum(each) > 0
+        with pytest.raises(BudgetExceeded):
+            ProbeFamily.subspaces_of(PATH3, max_nodes=sum(each) - 1)
+        # the default family of a tester is paid from the tester's budget
+        with pytest.raises(BudgetExceeded):
+            is_eps_mono(identity(PATH3), 0, max_nodes=sum(each) - 1)
 
 
 EPS_VALUES = (ZERO, rat("1/2"), rat(1), INF)

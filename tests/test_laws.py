@@ -1,8 +1,10 @@
 import concurrent.futures
 
+import metricat.corpus
 import metricat.laws
 from metricat.corpus import CorpusConfig
 from metricat.laws import LAWS, law_harness, law_report_to_json, run_law
+from metricat.spaces import Space
 
 
 class TestRegistry:
@@ -69,6 +71,25 @@ class TestHarness:
         assert law_harness(seed=2, trials=2, workers=3) == pooled
         assert sizes == [len(LAWS), 3]
         assert pooled == law_harness(seed=2, trials=2)
+
+
+class TestDraws:
+    def test_reports_do_not_depend_on_draw_identity(self, monkeypatch):
+        # Equal draws share one Space.  With every draw a fresh copy instead,
+        # no law may report differently: none reads identity.
+        def reports():
+            return [repr(run_law(law_id, seed, 120)) for seed in (0, 1) for law_id in sorted(LAWS)]
+
+        shared = reports()
+        draw = metricat.corpus.random_space
+
+        def fresh(*args, **kwargs):
+            s = draw(*args, **kwargs)
+            return Space._validated(s.dist, s.labels)
+
+        monkeypatch.setattr(metricat.corpus, "random_space", fresh)
+        monkeypatch.setattr(metricat.laws, "random_space", fresh)
+        assert reports() == shared
 
 
 # The instance names each law reports after "trial" when it fails.
