@@ -42,14 +42,14 @@ def random_space(rng: random.Random, cfg: CorpusConfig = CorpusConfig(),
     if min_points is not None:
         lo = min_points
     n = rng.randint(lo, cfg.max_points)
-    upper = ()
+    pairs = n * (n - 1) // 2
     for _ in range(200):
-        upper = tuple(rng.choice(cfg.grid) for _ in range(n * (n - 1) // 2))
-        if (space := _grid_space(n, upper)) is not None:
+        space = _grid_space(n, tuple(rng.choice(cfg.grid) for _ in range(pairs)))
+        if space is not None:
             return space
     # all-equal distances satisfy the axioms unless the value drawn is zero,
     # which validating the rows again reports
-    upper = (rng.choice(cfg.grid),) * len(upper)
+    upper = (rng.choice(cfg.grid),) * pairs
     space = _grid_space(n, upper)
     return space if space is not None else validate_space(_rows(n, upper))
 
