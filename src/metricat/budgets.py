@@ -53,8 +53,19 @@ class NodeBudget:
         self.used += n
         # Spending nothing never raises, not even under a negative limit.
         if self.used > self.limit and n:
-            raise BudgetExceeded(f"search spent {self.used} nodes, "
-                                 f"over the node budget of {self.limit}")
+            self._exceeded()
+
+    def spend_each(self, n: int) -> None:
+        """Charge ``n`` single nodes, as ``n`` calls of ``spend()`` would:
+        the count stops at the node that crosses the limit."""
+        if n and self.used + n > self.limit:
+            self.used = max(self.used, self.limit) + 1
+            self._exceeded()
+        self.used += n
+
+    def _exceeded(self):
+        raise BudgetExceeded(f"search spent {self.used} nodes, "
+                             f"over the node budget of {self.limit}")
 
     def cached(self, cache: dict, key, compute):
         """``compute()``, memoized in ``cache`` with the nodes it spent; a

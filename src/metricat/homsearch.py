@@ -6,11 +6,17 @@ points in order, so maps come out in lexicographic order of their index
 tuples.  It compares integer ranks (``Space.ranks``), never ExtRat values:
 each domain distance becomes the codomain rank that its image pair must
 equal (isometries) or not exceed (non-expansive maps), so every verdict
-stays exact.  An isometric search draws a point's candidates from the
-codomain's sphere index (``Space.spheres``): the points at the required rank
-from the image of point 0, or for point 0 from the lowest forced point.
-Each candidate tried costs one budget node, whether it came from the index
-or from the whole codomain.  A cached hom-set or isometry set keeps the
+stays exact.  The kernel works on bitmasks of codomain points
+(``Space.balls``).  A point's tried candidates are its forced image, or in
+an isometric search the sphere at the required rank around the image of
+point 0 (for point 0, around the lowest forced point), or else every
+point; the accepted ones are the tried mask ANDed with one mask per
+assigned point, its ball (non-expansive) or sphere (isometric) at the
+required rank.  Accepted candidates are visited lowest bit first.  Each
+candidate tried costs one budget node: before a descent or a yield the
+kernel charges the tried candidates up to the accepted one, and on leaving
+a level the rest, so a budget runs out at the same node as a test of every
+candidate in turn would.  A cached hom-set or isometry set keeps the
 nodes its search spent and a cache hit charges them again, so a budget's
 outcome does not depend on the cache; each cache keeps at most
 ``budgets.CACHE_ENTRIES`` entries.  The translation of a pair's
@@ -41,14 +47,16 @@ def clear_caches() -> None:
 
 
 @lru_cache(maxsize=256)
-def _required(dom: Space, cod: Space, exact: bool) -> tuple[tuple[int, ...], ...]:
+def _required(dom: Space, cod: Space, exact: bool) -> tuple[tuple[int, ...], ...] | None:
     """dom's distances as cod ranks: the rank an image pair must equal
-    (``exact``; -1 where cod has no such distance) or not exceed."""
+    (``exact``) or not exceed.  None when an exact search needs a distance
+    that cod lacks."""
     values, _ = cod.ranks()
     dvalues, drank = dom.ranks()
     if exact:
         to = [bisect_left(values, v) for v in dvalues]
-        to = [r if r < len(values) and values[r] == v else -1 for r, v in zip(to, dvalues)]
+        if any(r == len(values) or values[r] != v for r, v in zip(to, dvalues)):
+            return None
     else:
         to = [bisect_right(values, v) - 1 for v in dvalues]
     return tuple(tuple(to[r] for r in drank[i:i + dom.n]) for i in range(0, len(drank), dom.n))
@@ -68,41 +76,53 @@ def _search(dom: Space, cod: Space, exact: bool, budget: NodeBudget, forced=None
     if m == 0:
         return
     req = (_required if memo else _required.__wrapped__)(dom, cod, exact)
-    rank = cod.ranks()[1]
+    if req is None:
+        return
+    balls = cod.balls()
     forced = forced or {}
-    everywhere = range(m)
-    if exact:
-        if any(r < 0 for row in req for r in row):
-            return
-        spheres = cod.spheres()
-        anchor = min(forced, default=None)
+    anchor = min(forced, default=None) if exact else None
+    spend = budget.spend_each
     img = [0] * n
-
-    def extend(i: int):
+    tried = [0] * n   # per level: the candidates tried and not yet charged
+    left = [0] * n    # per level: the accepted candidates not yet visited
+    i = 0
+    while True:
+        # Enter level i: the candidates it tries, and those every assigned
+        # point admits.
         ri = req[i]
         if i in forced:
-            candidates = (forced[i],)
-        elif exact and i:
-            candidates = spheres[img[0]][ri[0]]
-        elif exact and anchor is not None:
-            candidates = spheres[forced[anchor]][ri[anchor]]
+            t = 1 << forced[i]
+        elif exact and (i or anchor is not None):
+            b = balls[img[0] if i else forced[anchor]]
+            r = ri[0] if i else ri[anchor]
+            t = b[r] ^ b[r - 1] if r else b[0]
         else:
-            candidates = everywhere
-        for c in candidates:
-            budget.spend()
-            row = c * m
-            for j in range(i):
-                d = rank[row + img[j]]
-                if (d != ri[j]) if exact else (d > ri[j]):
+            t = (1 << m) - 1
+        a = t
+        for j in range(i):
+            b, r = balls[img[j]], ri[j]
+            a &= (b[r] ^ b[r - 1] if r else b[0]) if exact else b[r]
+        tried[i], left[i] = t, a
+        # Take the next accepted candidate, leaving every level that has none.
+        while True:
+            a = left[i]
+            if a:
+                low = a & -a
+                left[i] = a ^ low
+                below = tried[i] & ((low << 1) - 1)
+                tried[i] ^= below
+                spend(below.bit_count())
+                img[i] = low.bit_length() - 1
+                if i + 1 < n:
                     break
+                yield tuple(img)
             else:
-                img[i] = c
-                if i + 1 == n:
-                    yield tuple(img)
-                else:
-                    yield from extend(i + 1)
-
-    yield from extend(0)
+                if tried[i]:
+                    spend(tried[i].bit_count())
+                if not i:
+                    return
+                i -= 1
+        i += 1
 
 
 def _wrap(dom: Space, cod: Space, tuples) -> tuple[MetMap, ...]:

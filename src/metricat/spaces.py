@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, or_
 
 from .budgets import DEFAULT_POINT_BUDGET
 from .errors import (
@@ -79,8 +79,8 @@ class Space:
     shares that one Space.
 
     Three caches are filled on first use and take no part in equality,
-    pickling or copying: the hash, the rank table (``ranks``) and the sphere
-    index (``spheres``) that the searches in :mod:`metricat.homsearch` read.
+    pickling or copying: the hash, the rank table (``ranks``) and the ball
+    masks (``balls``) that the searches in :mod:`metricat.homsearch` read.
     """
 
     dist: tuple[tuple[ExtRat, ...], ...]
@@ -88,7 +88,7 @@ class Space:
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
     _values: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _rank: bytes | tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _spheres: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _balls: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dist", tuple(tuple(row) for row in self.dist))
@@ -147,19 +147,22 @@ class Space:
             object.__setattr__(self, "_rank", bytes(rank) if len(values) <= 256 else rank)
         return self._values, self._rank
 
-    def spheres(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """``spheres()[p][r]``: the points at rank ``r`` from ``p``, ascending."""
-        if self._spheres is None:
+    def balls(self) -> tuple[bytes | tuple[int, ...], ...]:
+        """``balls()[p][r]``: the bitmask (bit ``q`` for point ``q``) of the
+        points at rank at most ``r`` from ``p``.  A row ``balls()[p]`` is a
+        bytes object when there are at most 8 points."""
+        if self._balls is None:
             values, rank = self.ranks()
             n = self.n
             table = []
             for p in range(n):
-                sphere = [[] for _ in values]
-                for q in range(n):
-                    sphere[rank[p * n + q]].append(q)
-                table.append(tuple(map(tuple, sphere)))
-            object.__setattr__(self, "_spheres", tuple(table))
-        return self._spheres
+                masks = [0] * len(values)
+                for q, r in enumerate(rank[p * n:(p + 1) * n]):
+                    masks[r] |= 1 << q
+                masks = itertools.accumulate(masks, or_)
+                table.append(bytes(masks) if n <= 8 else tuple(masks))
+            object.__setattr__(self, "_balls", tuple(table))
+        return self._balls
 
     def assert_metric(self) -> "Space":
         """Full axiom check, triangle included.  Returns self."""

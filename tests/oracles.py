@@ -225,6 +225,56 @@ def search_nodes_brute(dom, cod, forced=None):
     return nodes
 
 
+def search_brute(dom, cod, exact, budget, forced=None):
+    """The backtracking search over the maps dom -> cod, one candidate image
+    at a time: index tuples in lexicographic order.
+
+    ``exact`` asks for isometries, else non-expansive maps; ``forced`` pins
+    some points to one image.  Point i tries, in ascending order, its forced
+    image, or in an exact search the points at distance d(i, 0) from the
+    image of point 0 (for point 0, the points at d(0, a) from the image of
+    the lowest forced point a), or else every point.  Each candidate charges
+    ``budget.spend()`` before it is compared with every point assigned
+    before i.  An exact search that needs a distance cod lacks tries nothing.
+    """
+    n, m = dom.n, cod.n
+    if n == 0:
+        yield ()
+        return
+    if m == 0:
+        return
+    D, C = dom.dist, cod.dist
+    if exact and not set(itertools.chain(*D)) <= set(itertools.chain(*C)):
+        return
+    forced = forced or {}
+    anchor = min(forced, default=None)
+    img = [0] * n
+
+    def at(p, d):
+        return [q for q in range(m) if C[p][q] == d]
+
+    def extend(i):
+        if i in forced:
+            candidates = (forced[i],)
+        elif exact and i:
+            candidates = at(img[0], D[i][0])
+        elif exact and anchor is not None:
+            candidates = at(forced[anchor], D[0][anchor])
+        else:
+            candidates = range(m)
+        for c in candidates:
+            budget.spend()
+            if all(C[c][img[j]] == D[i][j] if exact else C[c][img[j]] <= D[i][j]
+                   for j in range(i)):
+                img[i] = c
+                if i + 1 == n:
+                    yield tuple(img)
+                else:
+                    yield from extend(i + 1)
+
+    yield from extend(0)
+
+
 def verify_nodes_brute(apex, legs, eps, objects, bridges, targets):
     """The search nodes a verifier charges up to its outcome, by plain
     enumeration.

@@ -48,6 +48,35 @@ DOCUMENTS = {
 # sha256 of the stdout of `metricat laws run --seed 0 --trials 120`.
 LAWS_RUN_SHA256 = "87fee57362cfaabf8814e9963110836b2bf7b0826e41d89a97e2963a2f7e3c0a"
 
+# `metricat fraisse build --grid 1,2 --steps 3`: the sha256 of each file it
+# writes but manifest.json, whose wall clock varies, and the least node
+# budgets of the build and of `fraisse audit` on its run.
+CHAIN_ARGS = ["fraisse", "build", "--grid", "1,2", "--steps", "3"]
+CHAIN_RUN_SHA256 = {
+    "embeddings/k_000_001.json":
+        "b88491b2c7f1e46d6ceecc523868dd367ca6d090e5e7c323e5abe0dd88f01f9d",
+    "embeddings/k_001_002.json":
+        "6996b7f822d31a9814156e336393743aa519434bf017f51a6ac163a15bad5ceb",
+    "embeddings/k_002_003.json":
+        "d488760426e5fb6a0445f00da7cd6d325273200450b0fa8ab851255d8d914d68",
+    "spans/step_000.json":
+        "2cc43ac51a371f04ad044cbde783103391351da93f9c5b53f293946e86d3b7bc",
+    "spans/step_001.json":
+        "62885e7937b6a2def14533552f317bca8eb7594c49e2719b4ea4b1ae6fb1c886",
+    "spans/step_002.json":
+        "13b5248da98f05a82d82c456ff95daed55a7ebe050c8d9019e0d4e1c273ddc91",
+    "stages/K_000.json":
+        "43d7c56409ae0619b098a2fe27ccab801cc238ebbd7cba3248e0190bbf1b5729",
+    "stages/K_001.json":
+        "c3c76ff3c19e9c99a1968f0806d930bead63d2ec81d32e90545fc6f5bee2f02c",
+    "stages/K_002.json":
+        "28f8d7d0e63ad2d1d2fc4907ccb980b78b309d633cc7d5b930bf84cf3f8bde02",
+    "stages/K_003.json":
+        "216a8ae55a3843c1a8c391958d861df7bbae88ce36ff89ac05d99eb89fe004ba",
+}
+CHAIN_BUILD_NODES = 1748
+CHAIN_AUDIT_NODES = 2330
+
 
 def invoke(args):
     return CliRunner().invoke(main, args, catch_exceptions=False)
@@ -331,6 +360,34 @@ class TestFraisseCommands:
             with open(os.path.join(b, rel), "rb") as fh:
                 bytes_b = fh.read()
             assert bytes_a == bytes_b, rel
+
+    def test_standard_run_directory_is_pinned(self, tmp_path):
+        run_dir = str(tmp_path / "run")
+        assert invoke([*CHAIN_ARGS, "--out", run_dir]).exit_code == 0
+        digests = {}
+        for top, _, names in os.walk(run_dir):
+            for name in names:
+                rel = os.path.relpath(os.path.join(top, name), run_dir)
+                if rel != "manifest.json":
+                    with open(os.path.join(run_dir, rel), "rb") as fh:
+                        digests[rel] = hashlib.sha256(fh.read()).hexdigest()
+        assert digests == CHAIN_RUN_SHA256
+        manifest = read_json(os.path.join(run_dir, "manifest.json"))
+        assert manifest["outcome"] == {"complete": True, "stages": [0, 1, 7, 133]}
+
+    def test_chain_node_charges_are_pinned(self, tmp_path):
+        run_dir = str(tmp_path / "run")
+        short = str(tmp_path / "short")
+        assert invoke([*CHAIN_ARGS, "--budget-nodes", str(CHAIN_BUILD_NODES - 1),
+                       "--out", short]).exit_code == 3
+        assert invoke([*CHAIN_ARGS, "--budget-nodes", str(CHAIN_BUILD_NODES),
+                       "--out", run_dir]).exit_code == 0
+        audit = ["fraisse", "audit", run_dir, "--budget-nodes"]
+        assert invoke([*audit, str(CHAIN_AUDIT_NODES)]).exit_code == 0
+        result = invoke([*audit, str(CHAIN_AUDIT_NODES - 1)])
+        assert result.exit_code == 3
+        assert result.stderr == (f"budget exceeded: search spent {CHAIN_AUDIT_NODES} nodes, "
+                                 f"over the node budget of {CHAIN_AUDIT_NODES - 1}\n")
 
     def test_budget_exceeded_persists_partial_run(self, tmp_path):
         run_dir = str(tmp_path / "run")

@@ -27,7 +27,13 @@ from metricat.spaces import (
     validate_space,
 )
 
-from .oracles import fillers_brute, hom_brute, iso_brute, random_symmetric_matrix
+from .oracles import (
+    fillers_brute,
+    hom_brute,
+    iso_brute,
+    random_symmetric_matrix,
+    search_brute,
+)
 
 VALUES = (rat("1/2"), rat(1), rat("3/2"), rat(2), INF)
 
@@ -51,6 +57,60 @@ def _inside(rng, space, max_points=4):
     """A random subspace on at most max_points points, in random order, and
     its inclusion."""
     return subspace(space, rng.sample(range(space.n), rng.randint(0, min(space.n, max_points))))
+
+
+def _trace(search, limit, first_only):
+    """What a search does under a budget of ``limit`` nodes: each map it
+    yields with the nodes spent by then, the nodes spent in all, and the
+    budget error's message, if any."""
+    budget = NodeBudget(limit)
+    out = []
+    try:
+        for t in search(budget):
+            out.append((t, budget.used))
+            if first_only:
+                break
+    except BudgetExceeded as e:
+        return out, budget.used, str(e)
+    return out, budget.used, None
+
+
+class TestSearchKernel:
+    @given(st.integers(0, 2**30))
+    def test_agrees_with_the_per_candidate_search(self, seed):
+        # Maps, nodes spent after each map and in all, and the outcome at
+        # limits around the ends of the search, for hom and isometric
+        # searches with and without forced points, also stopped at the
+        # first map.
+        rng = random.Random(seed)
+        dom, cod = _draw(rng, 5), _draw(rng, 5)
+        for exact in (False, True):
+            forced = None
+            if cod.n and rng.random() < 0.5:
+                forced = {p: rng.randrange(cod.n) for p in range(dom.n) if rng.random() < 0.4}
+            first_only = rng.random() < 0.3
+
+            def fast(budget):
+                return homsearch._search(dom, cod, exact, budget, forced)
+
+            def brute(budget):
+                return search_brute(dom, cod, exact, budget, forced)
+
+            expected = _trace(brute, None, first_only)
+            assert _trace(fast, None, first_only) == expected
+            total = expected[1]
+            # A limit inside a charge of many nodes: the count stops there.
+            inside = [rng.randrange(total) for _ in range(2)] if total else []
+            for limit in (-1, 0, 1, total - 1, *inside):
+                assert _trace(fast, limit, first_only) == _trace(brute, limit, first_only)
+
+    def test_spend_each_stops_counting_at_the_limit(self):
+        budget = NodeBudget(5)
+        budget.spend_each(5)
+        budget.spend_each(0)
+        with pytest.raises(BudgetExceeded, match="spent 6 nodes, over the node budget of 5"):
+            budget.spend_each(4)
+        assert budget.used == 6
 
 
 class TestHomSet:

@@ -169,14 +169,14 @@ class TestMetMap:
 class TestCaches:
     def test_warm_space_survives_pickle_and_deepcopy(self):
         sp = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]], labels=("a", "b", "c"))
-        flip = automorphisms(sp)[-1]  # fills the rank table and the sphere index
+        flip = automorphisms(sp)[-1]  # fills the rank table and the ball masks
         key = hash(sp)
         assert pickle.dumps(sp) == pickle.dumps(Space(sp.dist, sp.labels))
         for clone in (pickle.loads(pickle.dumps(sp)), copy.deepcopy(sp)):
             assert clone == sp
             assert hash(clone) == key
             assert clone.ranks() == sp.ranks()
-            assert clone.spheres() == sp.spheres()
+            assert clone.balls() == sp.balls()
         assert pickle.loads(pickle.dumps(flip)) == flip
         assert copy.deepcopy(flip) == flip
 
@@ -185,7 +185,8 @@ class TestCaches:
         values, rank = sp.ranks()
         assert values == (ZERO, rat(2), INF)
         assert tuple(rank) == (0, 1, 2, 1, 0, 2, 2, 2, 0)
-        assert sp.spheres()[2] == ((2,), (), (0, 1))
+        # From point 2: {2} at rank 0, nothing new at rank 1, {0, 1} at rank 2.
+        assert tuple(sp.balls()[2]) == (0b100, 0b100, 0b111)
 
 
 class TestHomDist:
