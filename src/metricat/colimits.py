@@ -19,7 +19,7 @@ from itertools import accumulate
 from .budgets import DEFAULT_STAGE_POINT_BUDGET
 from .errors import BudgetExceeded, InvalidMorphism, MismatchedEndpoints, UsageError
 from .extrat import INF, ZERO, ExtRat, rat
-from .reflect import Semimetric, reflect
+from .reflect import _reflect
 from .spaces import MetMap, Space, coproduct, hom_dist, identity
 
 
@@ -43,7 +43,7 @@ class Presentation:
             p, q = starts[i] + x, starts[j] + y
             if p != q and eps < rows[p][q]:
                 rows[p][q] = rows[q][p] = eps
-        refl = reflect(Semimetric(rows))
+        refl = _reflect(rows)
         proj = refl.projection
         return refl.space, tuple(
             MetMap._trusted(s, refl.space, proj[a:b])

@@ -54,7 +54,7 @@ def random_space(rng: random.Random, cfg: CorpusConfig = CorpusConfig(),
     return space if space is not None else validate_space(_rows(n, upper))
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=256)
 def _grid_space(n: int, upper: tuple) -> Space | None:
     """The space on n points whose upper triangle, row by row, is ``upper``,
     validated once; None when it breaks an axiom."""

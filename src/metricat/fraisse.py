@@ -218,6 +218,11 @@ def gather_spans(space: Space, stratum, policy: SpanPolicy,
                  max_spans: int | None = None) -> tuple[tuple[Span, ...], int]:
     """Deduplicated spans for one step, plus the count skipped as satisfied.
 
+    Two anchors u, u∘tau with tau in the span's dedup group give the same
+    span, and the group maps anchors to anchors, so each orbit is kept once,
+    by its least member.  The anchors arrive in lexicographic order, so u is
+    kept exactly when no u∘tau sorts before it.
+
     With ``max_spans`` set, BudgetExceeded is raised at the first span past
     the cap, before any further search.
     """
@@ -227,13 +232,12 @@ def gather_spans(space: Space, stratum, policy: SpanPolicy,
     for h in stratum:
         X = h.dom
         anchors = (isometry_set if policy.isometric_u else hom_set)(X, space, max_nodes=budget)
-        group = _span_dedup_group(h, budget)
-        seen: set[tuple[int, ...]] = set()
+        identity_map = tuple(range(X.n))
+        moves = [tau for tau in _span_dedup_group(h, budget) if tau != identity_map]
         for u in anchors:
-            key = min(tuple(u.map[p] for p in tau) for tau in group)
-            if key in seen:
+            m = u.map
+            if moves and any(tuple(map(m.__getitem__, tau)) < m for tau in moves):
                 continue
-            seen.add(key)
             if policy.skip_satisfied and isometric_fillers(h, u, first_only=True,
                                                            max_nodes=budget):
                 skipped += 1

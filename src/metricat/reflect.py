@@ -8,12 +8,20 @@ the universal space receiving a non-expansive map from the input.
 The chain minimization is all-pairs shortest paths, relaxed as plain
 integers on the exact encoding of ``extrat.integer_matrix``: any true
 finite path weight stays below its infinity sentinel (one more than the sum
-of every finite entry), so the computation is exact.
+of every finite entry), so the computation is exact.  Floyd-Warshall's
+closure does not depend on the order of the intermediate points, so the
+points go sparsest first (fewest finite entries in the input, ties in index
+order), and each point relaxes only the pairs inside its finite
+neighbourhood.  A presentation's coproduct of small pieces joined by a few
+bridges then costs little more than its bridges.  Zero classes are read off
+the closed integers as well, and the reflected space holds one ``ExtRat``
+per distinct distance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 
 from .errors import SpaceValidationError, Violation
 from .extrat import INF, ZERO, ExtRat, integer_matrix, rat
@@ -67,44 +75,43 @@ class Reflection:
         return MetMap(dom, self.space, self.projection)
 
 
-def _shortest_paths(dist) -> list[list[ExtRat]]:
-    n = len(dist)
-    if n == 0:
-        return []
+def _shortest_paths(dist) -> tuple[list[list[int]], int, int]:
+    """The closed ``integer_matrix(dist)``: ``(rows, scale, inf)``."""
     m, scale, sentinel = integer_matrix(dist)
-    for k in range(n):
+    n = len(m)
+    # Every entry is at most the sentinel, so a row's count of sentinels is
+    # its count of infinite entries.
+    for k in sorted(range(n), key=lambda k: n - m[k].count(sentinel)):
+        # Row k is fixed during k's own turn, and a sum with the sentinel
+        # never lowers an entry, so only pairs of k's finite neighbours can
+        # improve.
         mk = m[k]
-        for i in range(n):
-            dik = m[i][k]
-            if dik >= sentinel:
-                continue
+        near = list(compress(range(n), map(sentinel.__gt__, mk)))
+        for a, i in enumerate(near):
+            dik = mk[i]
             mi = m[i]
-            for j in range(i + 1, n):
+            for j in near[a + 1:]:
                 alt = dik + mk[j]
                 if alt < mi[j]:
                     mi[j] = alt
                     m[j][i] = alt
-    out = []
-    for row in m:
-        out.append([INF if v >= sentinel else ExtRat(v, scale) for v in row])
-    return out
+    return m, scale, sentinel
+
+
+def _reflect(dist) -> Reflection:
+    # Internal: ``dist`` is a square, symmetric, zero-diagonal ExtRat matrix.
+    m, scale, sentinel = _shortest_paths(dist)
+    # Zero distance is an equivalence once closed: a point's first zero is
+    # its class's least member, and the classes are numbered in that order.
+    label: dict[int, int] = {}
+    projection = tuple(label.setdefault(row.index(0), len(label)) for row in m)
+    rows = [[m[a][b] for b in label] for a in label]
+    value = {v: INF if v >= sentinel else ExtRat(v, scale)
+             for v in set(chain.from_iterable(rows))}
+    return Reflection(
+        Space(tuple(tuple(map(value.__getitem__, row)) for row in rows)), projection)
 
 
 def reflect(sm: Semimetric) -> Reflection:
     """Chain-minimize, then collapse zero-distance classes."""
-    closed = _shortest_paths(sm.dist)
-    n = sm.n
-    projection = [-1] * n
-    reps: list[int] = []
-    for i in range(n):
-        for r in reps:
-            if closed[i][r] == ZERO:
-                projection[i] = projection[r]
-                break
-        else:
-            projection[i] = len(reps)
-            reps.append(i)
-    dist = tuple(
-        tuple(closed[a][b] for b in reps) for a in reps
-    )
-    return Reflection(Space(dist), tuple(projection))
+    return _reflect(sm.dist)

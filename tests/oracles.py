@@ -7,8 +7,11 @@ point is to agree with the fast code while sharing none of its structure.
 
 import itertools
 
-from metricat.errors import Violation
+from metricat.budgets import NodeBudget
+from metricat.errors import BudgetExceeded, Violation
 from metricat.extrat import INF, ZERO, ExtRat
+from metricat.fraisse import Span, _span_dedup_group
+from metricat.homsearch import hom_set, isometric_fillers, isometry_set
 from metricat.spaces import Space
 
 
@@ -82,6 +85,17 @@ def simple_path_closure(dist):
     return out
 
 
+def floyd_warshall_brute(dist):
+    """All-pairs shortest distance by Floyd-Warshall over ExtRat, every
+    point k in natural order as the intermediate for every pair.  Returns a
+    new matrix; never mutates the input."""
+    m = [list(row) for row in dist]
+    for k, i, j in itertools.product(range(len(m)), repeat=3):
+        if m[i][k] + m[k][j] < m[i][j]:
+            m[i][j] = m[i][k] + m[k][j]
+    return m
+
+
 def simple_path_closure_exhaustive(dist):
     """All-pairs shortest distance by sweeping every simple path: each
     permutation of each subset of the other points, between i and j.
@@ -117,31 +131,21 @@ def simple_path_closure_exhaustive(dist):
 
 def isomorphic_brute(a: Space, b: Space) -> bool:
     """Isometric-bijection search over every permutation."""
-    if a.n != b.n:
-        return False
-    for perm in itertools.permutations(range(a.n)):
-        if all(
-            b.dist[perm[i]][perm[j]] == a.dist[i][j]
-            for i in range(a.n)
-            for j in range(a.n)
-        ):
-            return True
-    return False
+    return a.n == b.n and any(
+        all(b.dist[perm[i]][perm[j]] == a.dist[i][j] for i in range(a.n) for j in range(a.n))
+        for perm in itertools.permutations(range(a.n)))
 
 
 def hom_brute(dom: Space, cod: Space):
     """Every non-expansive map dom -> cod, as sorted point tuples."""
-    if dom.n == 0:
-        return [()]
-    found = []
-    for arr in itertools.product(range(cod.n), repeat=dom.n):
+    return [
+        arr for arr in itertools.product(range(cod.n), repeat=dom.n)
         if all(
             cod.dist[arr[i]][arr[j]] <= dom.dist[i][j]
             for i in range(dom.n)
             for j in range(i + 1, dom.n)
-        ):
-            found.append(arr)
-    return found
+        )
+    ]
 
 
 def iso_brute(dom: Space, cod: Space):
@@ -395,12 +399,7 @@ def ordinary_colimit_oracle(diagram) -> Space:
     class representatives, closes paths, and collapses glued-to-zero
     classes.  Returns only the apex.
     """
-    sizes = [obj.n for obj in diagram.objects]
-    offsets = []
-    total = 0
-    for s in sizes:
-        offsets.append(total)
-        total += s
+    *offsets, total = itertools.accumulate((obj.n for obj in diagram.objects), initial=0)
     uf = _UnionFind(total)
     for src, dst, m in diagram.arrows:
         for x in range(m.dom.n):
@@ -408,9 +407,7 @@ def ordinary_colimit_oracle(diagram) -> Space:
     roots = sorted({uf.find(p) for p in range(total)})
     index = {r: i for i, r in enumerate(roots)}
     k = len(roots)
-    base = [[INF] * k for _ in range(k)]
-    for i in range(k):
-        base[i][i] = ZERO
+    base = [[ZERO if i == j else INF for j in range(k)] for i in range(k)]
     for obj_idx, obj in enumerate(diagram.objects):
         off = offsets[obj_idx]
         for x in range(obj.n):
@@ -440,13 +437,7 @@ def ordinary_colimit_oracle(diagram) -> Space:
 
 def rat_grid():
     """Shared small value grid for randomized matrices."""
-    return (
-        ExtRat.parse("1/2"),
-        ExtRat.parse("1"),
-        ExtRat.parse("2"),
-        ExtRat.parse("5"),
-        INF,
-    )
+    return (*map(ExtRat.parse, ("1/2", "1", "2", "5")), INF)
 
 
 def random_symmetric_matrix(rng, n, values):
@@ -454,9 +445,7 @@ def random_symmetric_matrix(rng, n, values):
     dist = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            v = rng.choice(values)
-            dist[i][j] = v
-            dist[j][i] = v
+            dist[i][j] = dist[j][i] = rng.choice(values)
     return [tuple(row) for row in dist]
 
 
@@ -481,3 +470,28 @@ def random_space_brute(rng, cfg, *, min_points=None) -> Space:
     # all-equal distances; Space itself rejects a zero value
     v = rng.choice(cfg.grid)
     return Space(tuple(tuple(ZERO if i == j else v for j in range(n)) for i in range(n)))
+
+
+def gather_spans_brute(space, stratum, policy, *, max_nodes=None, max_spans=None):
+    """``fraisse.gather_spans`` with an explicit orbit key: each anchor's key
+    is the least ``u∘tau`` over the span's whole dedup group, identity
+    included, and an anchor is kept when its key was not seen before."""
+    budget = NodeBudget.of(max_nodes)
+    spans, skipped = [], 0
+    for h in stratum:
+        anchors = (isometry_set if policy.isometric_u else hom_set)(h.dom, space, max_nodes=budget)
+        group = _span_dedup_group(h, budget)
+        seen = set()
+        for u in anchors:
+            key = min(tuple(u.map[p] for p in tau) for tau in group)
+            if key in seen:
+                continue
+            seen.add(key)
+            if policy.skip_satisfied and isometric_fillers(h, u, first_only=True,
+                                                           max_nodes=budget):
+                skipped += 1
+                continue
+            spans.append(Span(u, h))
+            if max_spans is not None and len(spans) > max_spans:
+                raise BudgetExceeded(f"gathered {len(spans)} spans (budget {max_spans})")
+    return tuple(spans), skipped

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -389,6 +390,29 @@ class TestFraisseCommands:
         assert result.stderr == (f"budget exceeded: search spent {CHAIN_AUDIT_NODES} nodes, "
                                  f"over the node budget of {CHAIN_AUDIT_NODES - 1}\n")
 
+    def test_halved_grid_builds_the_halved_chain(self, tmp_path):
+        # Grid {1/2, 1} is grid {1, 2} at half scale: the same stages, maps,
+        # span logs and skip counts with every distance halved, and its
+        # closures run on integers at scale 2.
+        whole, half = str(tmp_path / "whole"), str(tmp_path / "half")
+        assert invoke([*CHAIN_ARGS, "--out", whole]).exit_code == 0
+        halved = ["fraisse", "build", "--grid", "1/2,1", "--steps", "3", "--out", half]
+        assert invoke(halved).exit_code == 0
+        files = sorted(os.path.relpath(os.path.join(top, name), whole)
+                       for top, _, names in os.walk(whole) for name in names)
+        assert files == sorted(os.path.relpath(os.path.join(top, name), half)
+                               for top, _, names in os.walk(half) for name in names)
+        for rel in files:
+            want, got = read_json(os.path.join(whole, rel)), read_json(os.path.join(half, rel))
+            if rel == "manifest.json":
+                for doc in (want, got):
+                    doc.pop("wall_clock_seconds")
+                want["grid"]["values"] = ["1/2", "1"]
+            assert _halve_distances(want) == got, rel
+        assert read_json(os.path.join(half, "manifest.json"))["outcome"] == {
+            "complete": True, "stages": [0, 1, 7, 133]}
+        assert invoke(["fraisse", "audit", half]).exit_code == 0
+
     def test_budget_exceeded_persists_partial_run(self, tmp_path):
         run_dir = str(tmp_path / "run")
         result = invoke(["fraisse", "build", "--grid", "1,2", "--steps", "3",
@@ -400,6 +424,16 @@ class TestFraisseCommands:
         assert os.path.exists(os.path.join(run_dir, "stages", "K_000.json"))
         audited = invoke(["fraisse", "audit", run_dir])
         assert audited.exit_code in (0, 1)
+
+
+def _halve_distances(doc):
+    """``doc`` with each entry of every "dist" matrix in it halved."""
+    if isinstance(doc, list):
+        return [_halve_distances(x) for x in doc]
+    if not isinstance(doc, dict):
+        return doc
+    return {key: [[d if d == "inf" else str(Fraction(d) / 2) for d in row] for row in value]
+            if key == "dist" else _halve_distances(value) for key, value in doc.items()}
 
 
 def _set(rel, path, value):

@@ -5,6 +5,7 @@ from itertools import accumulate
 import pytest
 
 from metricat import canonical, homsearch, rundir
+from metricat.budgets import NodeBudget
 from metricat.canonical import are_isomorphic
 from metricat.colimits import pushout
 from metricat.errors import BudgetExceeded, SchemaError, UsageError
@@ -14,6 +15,7 @@ from metricat.fraisse import (
     ChainStage,
     DistanceGrid,
     Span,
+    _span_dedup_group,
     audit_saturation,
     build_chain,
     catalog_isometries,
@@ -38,6 +40,8 @@ from metricat.spaces import (
     one_point,
     two_point,
 )
+
+from .oracles import gather_spans_brute
 
 GRID_1 = DistanceGrid((rat(1),), 2)
 GRID_12 = DistanceGrid((rat(1), rat(2)), 3)
@@ -212,6 +216,33 @@ class TestGatherSpans:
         assert gather_spans(*args, max_spans=len(spans)) == (spans, skipped)
         with pytest.raises(BudgetExceeded, match=rf"{len(spans)} spans \(budget {len(spans) - 1}\)"):
             gather_spans(*args, max_spans=len(spans) - 1)
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_orbit_minimum_matches_the_key_and_seen_set(self, policy):
+        # Strata 0-3 of the grid {1,2}, cap 3 chain, one stage each: the
+        # spans, skip counts and nodes of the whole stratum, then the span
+        # cap one below the count.  Cold caches: a memo entry keyed on an
+        # equal stage of an earlier build is compared entry by entry.
+        homsearch.clear_caches()
+        stages, catalog = build_chain(GRID_12, 3)
+        groups = [len(_span_dedup_group(h, NodeBudget())) for h in catalog.stratum(3)]
+        assert sum(size > 1 for size in groups) == 10
+        for stage in stages:
+            args = (stage.space, catalog.stratum(stage.stratum), POLICIES[policy])
+            fast, brute = NodeBudget(), NodeBudget()
+            spans, skipped = gather_spans(*args, max_nodes=fast)
+            assert (spans, skipped) == gather_spans_brute(*args, max_nodes=brute)
+            assert fast.used == brute.used
+            if not spans:
+                continue
+            cap = len(spans) - 1
+            fast, brute = NodeBudget(), NodeBudget()
+            with pytest.raises(BudgetExceeded) as got:
+                gather_spans(*args, max_nodes=fast, max_spans=cap)
+            with pytest.raises(BudgetExceeded) as want:
+                gather_spans_brute(*args, max_nodes=brute, max_spans=cap)
+            assert str(got.value) == str(want.value)
+            assert fast.used == brute.used
 
     def test_policy_names_round_trip(self):
         for name, policy in POLICIES.items():

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -6,11 +7,12 @@ from hypothesis import strategies as st
 
 from metricat.corpus import random_semimetric
 from metricat.errors import SpaceValidationError
-from metricat.extrat import INF, ZERO, rat
+from metricat.extrat import INF, ZERO, ExtRat, integer_matrix, rat
 from metricat.reflect import Semimetric, reflect, semimetric_of, semimetric_of_space
 from metricat.spaces import validate_space
 
 from .oracles import (
+    floyd_warshall_brute,
     random_symmetric_matrix,
     rat_grid,
     simple_path_closure,
@@ -117,6 +119,56 @@ class TestReflect:
                     da = base.space.d(base.projection[a], base.projection[b])
                     db = raised.space.d(raised.projection[a], raised.projection[b])
                     assert da <= db
+
+
+# ``metricat.reflect`` is the function; the module holds the closure.
+_shortest_paths = sys.modules["metricat.reflect"]._shortest_paths
+
+PIECE_VALUES = tuple(rat(v) for v in ("1/3", "1/2", "1", "3/2", "2", "5")) + (INF,)
+BRIDGE_VALUES = tuple(rat(v) for v in ("0", "0", "1/4", "1", "3"))
+
+
+def _bridged_coproduct(rng, pieces):
+    """Pieces of 1-3 points at INF from each other, joined by a few bridges:
+    the shape of a chain step's presentation, with fractions, zero bridges
+    and INF entries inside the pieces."""
+    sizes = [rng.randint(1, 3) for _ in range(pieces)]
+    n = sum(sizes)
+    rows = [[INF] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        block = random_symmetric_matrix(rng, size, PIECE_VALUES)
+        for i in range(size):
+            rows[start + i][start:start + size] = block[i]
+        start += size
+    for _ in range(rng.randint(0, 4) if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        rows[i][j] = rows[j][i] = min(rows[i][j], rng.choice(BRIDGE_VALUES))
+    return rows
+
+
+class TestClosureOracle:
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**30), st.integers(0, 4))
+    def test_sparsest_first_closure_matches_natural_order(self, seed, pieces):
+        rows = _bridged_coproduct(random.Random(seed), pieces)
+        n = len(rows)
+        want = floyd_warshall_brute(rows)
+        m, scale, inf = _shortest_paths(rows)
+        assert (scale, inf) == integer_matrix(rows)[1:]
+        assert [[INF if v >= inf else ExtRat(v, scale) for v in row] for row in m] == want
+        if n <= 6:
+            assert want == simple_path_closure(rows)
+        refl = reflect(Semimetric(tuple(map(tuple, rows))))
+        # classes are numbered in the order of their least members
+        least = [[d == ZERO for d in row].index(True) for row in want]
+        labels = {}
+        proj = refl.projection
+        assert proj == tuple(labels.setdefault(r, len(labels)) for r in least)
+        for i in range(n):
+            for j in range(n):
+                assert refl.space.d(proj[i], proj[j]) == want[i][j]
+        assert all(x is INF for row in refl.space.dist for x in row if x == INF)
 
 
 class TestSimplePathOracle:
