@@ -6,7 +6,8 @@ budget and raises BudgetExceeded instead of truncating silently.  One
 ``NodeBudget`` bounds a whole command or top-level library call: a public
 ``max_nodes=`` takes a size, for a fresh budget, or a ``NodeBudget`` to
 share.  The environment variable METRICAT_BUDGET_NODES, when set, caps every
-node budget when it is made.
+node budget when it is made.  Searches memoize their results in ``Memo``s,
+which ``clear_memos`` empties.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ DEFAULT_POINT_BUDGET = 64          # per constructed space in combinatorial ops
 DEFAULT_NODE_BUDGET = 10_000_000   # per command or top-level library call
 DEFAULT_STAGE_POINT_BUDGET = 256   # per chain stage
 DEFAULT_SPAN_BUDGET = 512          # spans attached per chain step
-CACHE_ENTRIES = 4096               # per memo of search results
+CACHE_ENTRIES = 4096               # per memo of search results, by default
 
 _ENV_NODES = "METRICAT_BUDGET_NODES"
 
@@ -49,36 +50,49 @@ class NodeBudget:
         """``max_nodes`` itself if it is a budget, else a fresh one of that size."""
         return max_nodes if isinstance(max_nodes, NodeBudget) else cls(max_nodes)
 
-    def spend(self, n: int = 1) -> None:
-        self.used += n
-        # Spending nothing never raises, not even under a negative limit.
-        if self.used > self.limit and n:
-            self._exceeded()
-
     def spend_each(self, n: int) -> None:
-        """Charge ``n`` single nodes, as ``n`` calls of ``spend()`` would:
-        the count stops at the node that crosses the limit."""
+        """Charge ``n`` single nodes, as ``n`` charges of one node would:
+        the count stops at the node that crosses the limit, so a budget
+        error names ``limit + 1`` nodes however the work was batched or
+        cached.  Spending nothing never raises, not even under a negative
+        limit."""
         if n and self.used + n > self.limit:
             self.used = max(self.used, self.limit) + 1
-            self._exceeded()
+            raise BudgetExceeded(f"search spent {self.used} nodes, "
+                                 f"over the node budget of {self.limit}")
         self.used += n
 
-    def _exceeded(self):
-        raise BudgetExceeded(f"search spent {self.used} nodes, "
-                             f"over the node budget of {self.limit}")
-
-    def cached(self, cache: dict, key, compute):
-        """``compute()``, memoized in ``cache`` with the nodes it spent; a
-        hit charges them again, so the outcome does not depend on the cache.
-        The cache keeps at most CACHE_ENTRIES entries: an insert into a full
-        cache first evicts the oldest entry."""
-        hit = cache.get(key)
+    def cached(self, memo: "Memo", key, compute):
+        """``compute()``, memoized in ``memo`` with the nodes it spent; a
+        hit charges them again, so the outcome does not depend on the memo.
+        An insert into a full memo first evicts its oldest entry."""
+        hit = memo.get(key)
         if hit is not None:
-            self.spend(hit[1])
+            self.spend_each(hit[1])
             return hit[0]
         start = self.used
         value = compute()
-        if len(cache) >= CACHE_ENTRIES:
-            del cache[next(iter(cache))]
-        cache[key] = (value, self.used - start)
+        if len(memo) >= memo.entries:
+            del memo[next(iter(memo))]
+        memo[key] = (value, self.used - start)
         return value
+
+
+_MEMOS: list["Memo"] = []
+
+
+class Memo(dict):
+    """A bounded memo of search results for ``NodeBudget.cached``.  Every
+    memo is registered when made, so ``clear_memos`` empties them all."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: int = CACHE_ENTRIES):
+        super().__init__()
+        self.entries = entries
+        _MEMOS.append(self)
+
+
+def clear_memos() -> None:
+    for memo in _MEMOS:
+        memo.clear()

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .budgets import NodeBudget
+from .budgets import Memo, NodeBudget
 from .spaces import MetMap, Space
 
-_canon_cache: dict[Space, tuple["CanonicalResult", int]] = {}
+_canon_cache = Memo()
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def _canonicalize(space: Space, budget: NodeBudget) -> CanonicalResult:
         for i in remaining:
             if colors[i] != min_color:
                 continue
-            budget.spend()
+            budget.spend_each(1)
             ext = [dist[i][prefix[k]] for k in range(depth)]
             cand = word + ext
             limit = len(cand)

@@ -19,7 +19,7 @@ from .canonical import canonical_form
 from .colimits import Presentation
 from .errors import BudgetExceeded, MetricatError, MismatchedEndpoints, UsageError
 from .extrat import ZERO, ExtRat, rat
-from .homsearch import automorphisms, hom_set, isometric_fillers, isometry_set
+from .homsearch import automorphisms, clear_caches, hom_set, isometric_fillers, isometry_set
 from .spaces import (
     MetMap,
     Space,
@@ -56,7 +56,7 @@ def enumerate_spaces(grid: DistanceGrid, *, max_nodes: int | None = None) -> tup
     for n in range(grid.max_size + 1):
         pairs = list(itertools.combinations(range(n), 2))
         for combo in itertools.product(grid.values, repeat=len(pairs)):
-            budget.spend()
+            budget.spend_each(1)
             dist = [[ZERO] * n for _ in range(n)]
             for (i, j), v in zip(pairs, combo):
                 dist[i][j] = dist[j][i] = v
@@ -257,8 +257,11 @@ def build_chain(grid: DistanceGrid, steps: int, policy: SpanPolicy | str = DEFAU
 
     Returns (stages, catalog).  On a budget violation the exception carries
     the stages completed so far and the catalog (None if it was not yet
-    complete), so callers can persist the partial chain.
+    complete), so callers can persist the partial chain.  The search memos
+    are emptied first: an entry keyed on a stage of an earlier build would
+    be compared with this build's equal stage entry by entry.
     """
+    clear_caches()
     if isinstance(policy, str):
         policy = POLICIES[policy]
     span_cap = DEFAULT_SPAN_BUDGET if max_spans is None else max_spans

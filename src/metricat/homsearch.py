@@ -18,8 +18,9 @@ kernel charges the tried candidates up to the accepted one, and on leaving
 a level the rest, so a budget runs out at the same node as a test of every
 candidate in turn would.  A cached hom-set or isometry set keeps the
 nodes its search spent and a cache hit charges them again, so a budget's
-outcome does not depend on the cache; each cache keeps at most
-``budgets.CACHE_ENTRIES`` entries.  The translation of a pair's
+outcome does not depend on the cache; each cache is a ``budgets.Memo`` of
+at most ``budgets.CACHE_ENTRIES`` entries, and ``clear_caches`` empties
+every such memo.  The translation of a pair's
 distances into ranks is memoized per (domain, codomain, relation) in a
 bounded LRU for filler searches, whose results are not cached.  Mediator
 searches bypass it, as their apex lives for one verification.
@@ -31,18 +32,17 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import islice
 
-from .budgets import NodeBudget
+from .budgets import Memo, NodeBudget, clear_memos
 from .errors import InvalidMorphism
 from .spaces import MetMap, Space
 
-_Cache = dict[tuple[Space, Space], tuple[tuple[MetMap, ...], int]]
-_hom_cache: _Cache = {}
-_iso_cache: _Cache = {}
+_hom_cache = Memo()
+_iso_cache = Memo()
 
 
 def clear_caches() -> None:
-    _hom_cache.clear()
-    _iso_cache.clear()
+    """Empty every search memo (``budgets.Memo``) and the rank translations."""
+    clear_memos()
     _required.cache_clear()
 
 
@@ -129,7 +129,7 @@ def _wrap(dom: Space, cod: Space, tuples) -> tuple[MetMap, ...]:
     return tuple(MetMap._trusted(dom, cod, t) for t in tuples)
 
 
-def _enumerate(cache: _Cache, dom: Space, cod: Space, exact: bool,
+def _enumerate(cache: Memo, dom: Space, cod: Space, exact: bool,
                max_nodes: int | NodeBudget | None) -> tuple[MetMap, ...]:
     budget = NodeBudget.of(max_nodes)
     # A cached result is searched for once: its rank translation would

@@ -12,6 +12,21 @@ so every verdict stays exact; a witness's distance is mapped back to its
 ExtRat value only for the answer.
 One budget covers a call; its loops charge one node per candidate map
 tried, in bulk once per outer iteration.
+
+Purity takes one g: A -> B at a time and holds the maps u: A -> K as bits
+of a mask.  Once per A it builds two tables of masks over hom(A, K): per
+point a and point y, the u with f(u(a)) within the admission rank of y
+(``near_l``), and the u with u(a) within the filler rank of y
+(``near_k``).  A v of hom(B, L) admits the u in the AND of near_l[a][v(g(a))]
+over the points a; the v are taken in order until every u is admitted,
+and then the t of hom(B, K) in the same way over the admitted u.  The
+charge is that of testing square by square: per u, the number of its first
+admitting v (every v when none admits it) and of its first filler.  The
+first failing u is the lowest bit admitted but not filled, and the charge
+of its row is counted again below that bit.  Purity's answers are
+memoized with the nodes they spent (``NodeBudget.cached``), keyed by (K,
+L, f's map, admission rank, filler rank, the family's spaces): eps and the
+variant enter only through the two ranks.
 """
 
 from __future__ import annotations
@@ -22,7 +37,7 @@ from functools import cache
 from itertools import combinations
 from typing import Literal
 
-from .budgets import NodeBudget
+from .budgets import Memo, NodeBudget
 from .canonical import canonical_form
 from .errors import UsageError
 from .extrat import INF, ZERO, ExtRat, rat
@@ -112,7 +127,7 @@ def _defect(subject: Space, f: MetMap, homA, homB, budget: NodeBudget):
                 best_for_g = h
                 if not d:
                     break
-        budget.spend(tried)
+        budget.spend_each(tried)
         if best > worst:
             worst = best
             worst_g = g
@@ -210,7 +225,7 @@ def is_eps_split(f: MetMap, eps, *, max_nodes: int | None = None):
             best_d, best = d, p
             if not d:
                 break
-    budget.spend(tried)
+    budget.spend_each(tried)
     if best_d is not None and best_d <= _within(values, e):
         return True, best
     return False, None
@@ -237,13 +252,16 @@ def is_eps_mono(f: MetMap, eps, family: TestFamily | None = None,
                 tried += 1
                 for p, q in zip(g.map, h.map):
                     if rank[p * n + q] > limit:
-                        budget.spend(tried)
+                        budget.spend_each(tried)
                         return False, (C, g, h)
-        budget.spend(tried)
+        budget.spend_each(tried)
     return True, None
 
 
 PurityVariant = Literal["pure", "weak", "bare"]
+
+# purity's answers with the nodes they cost, keyed by the ranks they depend on
+_purity_memo = Memo(1024)
 
 
 @dataclass(frozen=True)
@@ -272,67 +290,96 @@ def purity(f: MetMap, eps, variant: PurityVariant = "pure",
     K, L = f.dom, f.cod
     budget = NodeBudget.of(max_nodes)
     fam = family if family is not None else _default_family(f, budget)
-    kvalues, krank = _scale(K)
-    lvalues, lrank = _scale(L)
     # admission: a square closes when no f(u(a)), v(g(a)) ranks above limit
-    limit = 0 if variant == "bare" else _within(lvalues, e)
+    limit = 0 if variant == "bare" else _within(_scale(L)[0], e)
     # filler: t is good enough when no t(g(a)), u(a) ranks above bound
-    bound = _within(kvalues, 2 * e if variant == "weak" else e)
-    nK, nL, fm = K.n, L.n, f.map
+    bound = _within(_scale(K)[0], 2 * e if variant == "weak" else e)
+    return budget.cached(_purity_memo, (K, L, f.map, limit, bound, fam.spaces),
+                         lambda: _purity(f, limit, bound, fam.spaces, budget))
+
+
+def _near(maps, reach, n: int):
+    """Per point a of the probe, per point y of a space of n points: the
+    bitmask of the maps u (bit j for the j-th) with y in ``reach[u(a)]``."""
+    near = [[0] * n for _ in maps[0].map]
+    for j, u in enumerate(maps):
+        bit = 1 << j
+        for row, p in zip(near, u.map):
+            for y in reach[p]:
+                row[y] |= bit
+    return near
+
+
+def _sweep(maps, pairs, want: int):
+    """Walk the numbered ``maps`` in order and give each u of ``want`` to
+    the first map m that has, for every (row, b) of ``pairs``, u in
+    ``row[m(b)]``.  Returns the mask of the u given a map, and the sum of
+    their maps' numbers."""
+    covered = charge = 0
+    for i, m in maps:
+        mask = want ^ covered
+        if not mask:
+            break
+        for row, b in pairs:
+            mask &= row[m[b]]
+        if mask:
+            charge += i * mask.bit_count()
+            covered |= mask
+    return covered, charge
+
+
+def _purity(f: MetMap, limit: int, bound: int, spaces, budget: NodeBudget):
+    """``purity`` at admission rank ``limit`` and filler rank ``bound``, one
+    g row at a time on bitmasks over hom(A, K) (see the module docstring)."""
+    K, L = f.dom, f.cod
+    kvalues, krank = _scale(K)
+    lrank = _scale(L)[1]
+    nK, nL = K.n, L.n
+    # per point p of K: the points of L that f(p) admits, and of K that p does
+    to_l = [[y for y in range(nL) if lrank[q * nL + y] <= limit] for q in f.map]
+    to_k = [[y for y in range(nK) if krank[p * nK + y] <= bound] for p in range(nK)]
     # Each hom-set once per call, charged once.  The keys are these very
     # spaces, so a lookup never compares equal spaces entry by entry.
     hom = cache(lambda dom, cod: hom_set(dom, cod, max_nodes=budget))
 
-    for A in fam.spaces:
+    for A in spaces:
         homAK = hom(A, K)
         if not homAK:
             continue
-        # u with the row offsets of f∘u in L's rank table and of u in K's
-        rows = [(u, tuple(fm[p] * nL for p in u.map), tuple(p * nK for p in u.map))
-                for u in homAK]
-        for B in fam.spaces:
+        every = (1 << len(homAK)) - 1
+        near_l = _near(homAK, to_l, nL)
+        near_k = _near(homAK, to_k, nK)
+        for B in spaces:
             homAB = hom(A, B)
             homBL = hom(B, L)
             homBK = hom(B, K)
-            # the candidate maps numbered from 1, to count the ones tried
+            # the candidate maps numbered from 1
             vs = [(i, v.map) for i, v in enumerate(homBL, 1)]
             ts = [(i, t.map) for i, t in enumerate(homBK, 1)]
             for g in homAB:
-                gm = g.map
-                tried = 0
-                for u, fu, uk in rows:
-                    # admission: some v closes the square within tolerance
-                    admitting = 0
-                    for i, vm in vs:
-                        for row, b in zip(fu, gm):
-                            if lrank[row + vm[b]] > limit:
-                                break
-                        else:
-                            admitting = i
-                            break
-                    if not admitting:
-                        tried += len(vs)
-                        continue
-                    tried += admitting
-                    # filler: some t reconstructs u through g within bound
-                    best = None
-                    for i, tm in ts:
-                        d = 0
-                        for row, b in zip(uk, gm):
-                            x = krank[row + tm[b]]
-                            if x > d:
-                                d = x
-                        if best is None or d < best:
-                            best = d
-                            if best <= bound:
-                                tried += i
-                                break
-                    else:
-                        # best stays None when no t exists at all; that fails
-                        # the square even at infinite tolerance
-                        budget.spend(tried + len(ts))
-                        return False, PuritySquare(
-                            A, B, u, g, homBL[admitting - 1],
-                            INF if best is None else kvalues[best])
-                budget.spend(tried)
+                on_l = tuple(zip(near_l, g.map))
+                on_k = tuple(zip(near_k, g.map))
+                admitted, charge = _sweep(vs, on_l, every)
+                filled, filling = _sweep(ts, on_k, admitted)
+                failing = admitted ^ filled
+                if not failing:
+                    budget.spend_each(charge + filling
+                                      + len(vs) * (every ^ admitted).bit_count())
+                    continue
+                # The first failing u: charge the u below it and its own
+                # first admitting v and every t.
+                low = failing & -failing
+                below, charge = _sweep(vs, on_l, low - 1)
+                _, filling = _sweep(ts, on_k, below)
+                _, admitting = _sweep(vs, on_l, low)
+                budget.spend_each(charge + filling + admitting + len(ts)
+                                  + len(vs) * ((low - 1) ^ below).bit_count())
+                u = homAK[low.bit_length() - 1]
+                gk = [(p * nK, b) for p, b in zip(u.map, g.map)]
+                # best stays None when no t exists at all; that fails the
+                # square even at infinite tolerance
+                best = min((max((krank[row + tm[b]] for row, b in gk), default=0)
+                            for _, tm in ts), default=None)
+                return False, PuritySquare(A, B, u, g, homBL[admitting - 1],
+                                           INF if best is None else kvalues[best])
     return True, None

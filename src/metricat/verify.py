@@ -215,7 +215,7 @@ class _Join:
 
     def _check(self, cocones: int) -> None:
         self.checked += cocones
-        self.budget.spend(cocones)
+        self.budget.spend_each(cocones)
 
     def walk(self, k: int, failing: bool):
         """Check the cocones that extend the maps picked for the legs before

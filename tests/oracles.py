@@ -238,7 +238,7 @@ def search_brute(dom, cod, exact, budget, forced=None):
     image, or in an exact search the points at distance d(i, 0) from the
     image of point 0 (for point 0, the points at d(0, a) from the image of
     the lowest forced point a), or else every point.  Each candidate charges
-    ``budget.spend()`` before it is compared with every point assigned
+    ``budget.spend_each(1)`` before it is compared with every point assigned
     before i.  An exact search that needs a distance cod lacks tries nothing.
     """
     n, m = dom.n, cod.n
@@ -267,7 +267,7 @@ def search_brute(dom, cod, exact, budget, forced=None):
         else:
             candidates = range(m)
         for c in candidates:
-            budget.spend()
+            budget.spend_each(1)
             if all(C[c][img[j]] == D[i][j] if exact else C[c][img[j]] <= D[i][j]
                    for j in range(i)):
                 img[i] = c

@@ -737,4 +737,4 @@ class TestCommandContract:
             assert short.exit_code == 3
             spent = re.fullmatch(r"budget exceeded: search spent (\d+) nodes, "
                                  rf"over the node budget of {high - 1}\n", short.stderr)
-            assert int(spent[1]) >= high
+            assert int(spent[1]) == high

@@ -9,7 +9,7 @@ from metricat.budgets import NodeBudget
 from metricat.canonical import are_isomorphic
 from metricat.colimits import pushout
 from metricat.errors import BudgetExceeded, SchemaError, UsageError
-from metricat.extrat import INF, rat
+from metricat.extrat import INF, ExtRat, rat
 from metricat.fraisse import (
     POLICIES,
     ChainStage,
@@ -290,6 +290,27 @@ class TestBuildChain:
             build_chain(DistanceGrid((1, 2), 4), 4)
         partial, _ = err.value.partial
         assert [s.space.n for s in partial] == [0, 1, 7, 133]
+
+    def test_a_second_build_compares_no_stale_stage(self, monkeypatch):
+        # Six stratum-3 iso-skip gathers over the last stage compare as few
+        # distances after a second build in the process as after a first:
+        # no memo entry keyed on the earlier build's equal stage survives.
+        compare = ExtRat.__eq__
+        counts = []
+
+        def counted(self, other):
+            counts[-1] += 1
+            return compare(self, other)
+
+        homsearch.clear_caches()
+        for _ in range(2):
+            stages, catalog = build_chain(GRID_12, 3)
+            counts.append(0)
+            with monkeypatch.context() as patch:
+                patch.setattr(ExtRat, "__eq__", counted)
+                for h in catalog.stratum(3)[:6]:
+                    gather_spans(stages[-1].space, (h,), POLICIES["iso-skip"])
+        assert counts[0] == counts[1] > 0
 
     def test_one_node_budget_covers_the_whole_build(self):
         # Enumeration, catalog, span dedup, gathers and filler searches all

@@ -1,17 +1,18 @@
 import random
+from functools import cache
 from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from metricat import canonical
+from metricat import canonical, injectivity
 from metricat.budgets import NodeBudget
 from metricat.canonical import canonical_form
 from metricat.corpus import CorpusConfig, random_space, random_split_mono
 from metricat.errors import BudgetExceeded, UsageError
 from metricat.extrat import INF, ZERO, rat
-from metricat.homsearch import clear_caches
+from metricat.homsearch import clear_caches, hom_set
 from metricat.injectivity import (
     TestFamily as ProbeFamily,
     injectivity_defect,
@@ -25,6 +26,7 @@ from metricat.injectivity import (
 from metricat.spaces import (
     MetMap,
     empty_space,
+    hom_dist,
     identity,
     one_point,
     product,
@@ -395,10 +397,141 @@ class TestAgainstOracles:
         clear_caches()
         for warm in (False, True):
             monkeypatch.setenv("METRICAT_BUDGET_NODES", "218")
-            with pytest.raises(BudgetExceeded):
+            with pytest.raises(BudgetExceeded) as short:
                 purity(identity(K), 1, "pure", fam)
+            assert str(short.value) == ("search spent 219 nodes, "
+                                        "over the node budget of 218")
             if not warm:
                 monkeypatch.delenv("METRICAT_BUDGET_NODES")
                 purity(identity(K), 1, "pure", fam)
             monkeypatch.setenv("METRICAT_BUDGET_NODES", "219")
             assert purity(identity(K), 1, "pure", fam) == (True, None)
+
+
+def _purity_by_square(f, eps, variant, spaces, budget):
+    """``purity`` square by square: per g, each u in turn looks for its
+    first admitting v and then its first filler t, and the tries are
+    charged per g.  Each hom-set is fetched and charged once.  Returns
+    (verdict, witness) as ``purity`` does."""
+    e = rat(eps)
+    K, L = f.dom, f.cod
+    closes = ZERO if variant == "bare" else e
+    bound = 2 * e if variant == "weak" else e
+    hom = cache(lambda dom, cod: hom_set(dom, cod, max_nodes=budget))
+    for A in spaces:
+        homAK = hom(A, K)
+        if not homAK:
+            continue
+        for B in spaces:
+            homAB, homBL, homBK = hom(A, B), hom(B, L), hom(B, K)
+            for g in homAB:
+                tried = 0
+                for u in homAK:
+                    fu = u.then(f)
+                    admitting = next((i for i, v in enumerate(homBL, 1)
+                                      if hom_dist(fu, g.then(v)) <= closes), 0)
+                    if not admitting:
+                        tried += len(homBL)
+                        continue
+                    tried += admitting
+                    best = None
+                    for i, t in enumerate(homBK, 1):
+                        d = hom_dist(g.then(t), u)
+                        best = d if best is None else min(best, d)
+                        if best <= bound:
+                            tried += i
+                            break
+                    else:
+                        budget.spend_each(tried + len(homBK))
+                        return False, injectivity.PuritySquare(
+                            A, B, u, g, homBL[admitting - 1], INF if best is None else best)
+                budget.spend_each(tried)
+    return True, None
+
+
+def _purity_run(run, limit):
+    """(verdict, witness, nodes spent, budget error) of ``run`` under a
+    budget of ``limit`` nodes, with every memo emptied first."""
+    clear_caches()
+    canonical.clear_cache()
+    budget = NodeBudget(limit)
+    try:
+        return (*run(budget), budget.used, None)
+    except BudgetExceeded as err:
+        return None, None, budget.used, str(err)
+
+
+class TestPurityKernel:
+    @given(st.integers(0, 2**30), st.sampled_from(EPS_VALUES),
+           st.sampled_from(("pure", "weak", "bare")))
+    def test_agrees_with_the_square_by_square_loop(self, seed, eps, variant):
+        rng = random.Random(seed)
+        f = _draw_map(rng)
+        if rng.random() < 0.5:
+            spaces = ProbeFamily.subspaces_of(f.dom).spaces
+        else:
+            spaces = tuple(_draw(rng, 2) for _ in range(rng.randint(1, 3)))
+        fam = ProbeFamily(spaces)
+
+        def fast(budget):
+            return purity(f, eps, variant, fam, max_nodes=budget)
+
+        def loop(budget):
+            return _purity_by_square(f, eps, variant, spaces, budget)
+
+        total = _purity_run(loop, None)[2]
+        assert _purity_run(fast, None) == _purity_run(loop, None)
+        for limit in {-1, 0, 1, total - 1, total // 2, total}:
+            assert _purity_run(fast, limit) == _purity_run(loop, limit)
+
+
+def _sections():
+    """A section K -> L and a family, where eps 1 and 3/2 give the same
+    ranks: every distance of K and L is 0, 1 or 2."""
+    sub, incl = subspace(PATH3, (0, 1))
+    return incl, ProbeFamily.of([one_point(), two_point(1), two_point(2)])
+
+
+class TestPurityMemo:
+    def test_equal_ranks_share_an_entry(self):
+        f, fam = _sections()
+        clear_caches()
+        first = purity(f, 1, "pure", fam)
+        assert len(injectivity._purity_memo) == 1
+        assert purity(f, rat("3/2"), "pure", fam) is first
+        # bare at eps 1: admission at rank 0, filler at the rank of 1
+        purity(f, 1, "bare", fam)
+        assert len(injectivity._purity_memo) == 2
+        # weak at 1/2: admission at rank 0, filler at the rank of 1 again
+        purity(f, rat("1/2"), "weak", fam)
+        assert len(injectivity._purity_memo) == 2
+
+    def test_a_hit_charges_the_nodes_recorded(self):
+        f, fam = _sections()
+        clear_caches()
+        spent = []
+        for _ in range(2):  # a miss, then a hit
+            budget = NodeBudget()
+            purity(f, 1, "pure", fam, max_nodes=budget)
+            spent.append(budget.used)
+        assert spent[0] == spent[1] > 0
+        with pytest.raises(BudgetExceeded, match=rf"spent {spent[0]} nodes"):
+            purity(f, 1, "pure", fam, max_nodes=spent[0] - 1)
+
+    def test_clear_caches_empties_it(self):
+        f, fam = _sections()
+        purity(f, 1, "pure", fam)
+        assert injectivity._purity_memo
+        clear_caches()
+        assert not injectivity._purity_memo
+
+    def test_keeps_at_most_its_bound(self):
+        clear_caches()
+        memo = injectivity._purity_memo
+        empty = ProbeFamily(())
+        for k in range(1, memo.entries + 10):
+            purity(identity(two_point(k)), 0, "pure", empty)
+            assert len(memo) <= memo.entries
+        assert len(memo) == memo.entries == 1024
+        # the oldest entries went first
+        assert (two_point(1), two_point(1), (0, 1), 0, 0, ()) not in memo
