@@ -449,8 +449,8 @@ def fraisse_build(grid, steps, max_size, policy, seed, out_dir, budget_points, m
     budgets = {"points": budget_points, "nodes": max_nodes.limit, "spans": DEFAULT_SPAN_BUDGET}
     command = "metricat fraisse build"
     try:
-        stages, _catalog = build_chain(dgrid, steps, POLICIES[policy],
-                                       max_points=budget_points, max_nodes=max_nodes)
+        stages, _ = build_chain(dgrid, steps, POLICIES[policy],
+                                max_points=budget_points, max_nodes=max_nodes)
     except BudgetExceeded as exc:
         partial = exc.partial[0] if exc.partial else ()
         outcome = {"complete": False, "error": str(exc)}
@@ -471,12 +471,12 @@ def fraisse_build(grid, steps, max_size, policy, seed, out_dir, budget_points, m
 @BUDGET_NODES
 @runner
 def fraisse_audit(run_dir, max_nodes):
-    from .fraisse import _catalog, audit_saturation, enumerate_spaces
+    from .fraisse import audit_saturation, catalog_isometries, enumerate_spaces
     from .rundir import audit_to_json, load_chain, write_audit
 
     run = load_chain(run_dir)
     spaces = enumerate_spaces(run.grid, max_nodes=max_nodes)
-    catalog = _catalog(spaces, run.grid.max_size, max_nodes)
+    catalog = catalog_isometries(spaces, max_size=run.grid.max_size, max_nodes=max_nodes)
     report = audit_saturation(run.stages, catalog, max_nodes=max_nodes)
     doc = audit_to_json(report)
     write_audit(run_dir, doc)

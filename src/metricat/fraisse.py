@@ -1,7 +1,8 @@
 """Saturated chain construction over a finite distance grid.
 
 The builder enumerates every space over the grid up to isometry, catalogs
-the isometries between them (deduplicated modulo codomain automorphisms),
+the isometries between them modulo codomain automorphisms
+(``catalog_isometries``, charged to the caller's ``max_nodes=`` budget),
 and grows a chain from the empty space: at step n every span (u: X -> K_n,
 h: X -> Y) drawn from the current stratum is glued on by one wide pushout.
 The saturation audit then certifies, stage by stage, that every isometric
@@ -89,11 +90,11 @@ class IsometryCatalog:
         )
 
 
-def catalog_isometries(spaces, *, max_size: int | None = None) -> IsometryCatalog:
-    return _catalog(spaces, max_size, NodeBudget())
-
-
-def _catalog(spaces, max_size: int | None, budget: NodeBudget) -> IsometryCatalog:
+def catalog_isometries(spaces, *, max_size: int | None = None,
+                       max_nodes: int | None = None) -> IsometryCatalog:
+    """Every isometry X -> Y between the spaces, one per orbit of Y's
+    automorphisms, charged to ``max_nodes``; strata cap at ``max_size``."""
+    budget = NodeBudget.of(max_nodes)
     spaces = tuple(spaces)
     cap = max_size if max_size is not None else max((s.n for s in spaces), default=0)
     isometries: list[MetMap] = []
@@ -269,7 +270,8 @@ def build_chain(grid: DistanceGrid, steps: int, policy: SpanPolicy | str = DEFAU
     stages: list[ChainStage] = []
     current, catalog = empty_space(), None
     try:
-        catalog = _catalog(enumerate_spaces(grid, max_nodes=budget), grid.max_size, budget)
+        catalog = catalog_isometries(enumerate_spaces(grid, max_nodes=budget),
+                                     max_size=grid.max_size, max_nodes=budget)
         for n in range(steps):
             spans, skipped = gather_spans(
                 current, catalog.stratum(n), policy,

@@ -13,6 +13,11 @@ ExtRat value only for the answer.
 One budget covers a call; its loops charge one node per candidate map
 tried, in bulk once per outer iteration.
 
+One scan, ``_closest``, measures how near the maps factoring through a
+given one come to a fixed map: d(h∘f, g) for the injectivity defect,
+d(p∘f, id) for splitness and d(t∘g, u) for a failing purity square's best
+filler.  It keeps the first map at the least distance, stopping at 0.
+
 Purity takes one g: A -> B at a time and holds the maps u: A -> K as bits
 of a mask.  Once per A it builds two tables of masks over hom(A, K): per
 point a and point y, the u with f(u(a)) within the admission rank of y
@@ -99,6 +104,27 @@ def injectivity_defect(subject: Space, f: MetMap, *, max_nodes: int | None = Non
                    hom_set(f.cod, subject, max_nodes=budget), budget)
 
 
+def _closest(maps, pairs, rank, bound: int):
+    """The least distance from a fixed map to the maps of ``maps``, a map
+    m's distance being the largest ``rank[row + m(b)]`` over the (row, b) of
+    ``pairs``.  Returns (least distance, first map at it, maps tried): the
+    walk stops at the first map at distance 0, and gives (bound, None,
+    len(maps)) when no map lies below ``bound``."""
+    best, closest, tried = bound, None, 0
+    for tried, m in enumerate(maps, 1):
+        mm = m.map
+        d = 0
+        for row, b in pairs:
+            x = rank[row + mm[b]]
+            if x > d:
+                d = x
+        if d < best:
+            best, closest = d, m
+            if not d:
+                break
+    return best, closest, tried
+
+
 def _defect(subject: Space, f: MetMap, homA, homB, budget: NodeBudget):
     """``injectivity_defect`` over the fetched hom-sets A -> K and B -> K."""
     values, rank = _scale(subject)
@@ -106,32 +132,14 @@ def _defect(subject: Space, f: MetMap, homA, homB, budget: NodeBudget):
         values += (INF,)
     top = len(values) - 1   # the rank of INF, the distance when no h exists
     n = subject.n
-    # each h, numbered from 1, with h∘f as row offsets into the rank table
-    composites = [(i, h, tuple(h.map[p] * n for p in f.map)) for i, h in enumerate(homB, 1)]
-    worst = 0
-    worst_g = None
-    best_h = None
+    worst, worst_g, best_h = 0, None, None
     for g in homA:
-        gm = g.map
-        best = top
-        best_for_g = None
-        tried = 0
-        for tried, h, hf in composites:
-            d = 0
-            for row, q in zip(hf, gm):
-                x = rank[row + q]
-                if x > d:
-                    d = x
-            if d < best:
-                best = d
-                best_for_g = h
-                if not d:
-                    break
+        # d(h(f(a)), g(a)) is read from row g(a) of the symmetric rank table
+        best, h, tried = _closest(homB, tuple((q * n, p) for q, p in zip(g.map, f.map)),
+                                  rank, top)
         budget.spend_each(tried)
         if best > worst:
-            worst = best
-            worst_g = g
-            best_h = best_for_g
+            worst, worst_g, best_h = best, g, h
     return values[worst], worst_g, best_h
 
 
@@ -207,27 +215,14 @@ def is_eps_split(f: MetMap, eps, *, max_nodes: int | None = None):
     e = rat(eps)
     K = f.dom
     values, rank = _scale(K)
-    n = K.n
-    # d(p(f(k)), k) is read from row k of K's rank table
-    rows = tuple((k * n, q) for k, q in enumerate(f.map))
     budget = NodeBudget.of(max_nodes)
-    best = None
-    best_d = None
-    tried = 0
-    for tried, p in enumerate(hom_set(f.cod, K, max_nodes=budget), 1):
-        pm = p.map
-        d = 0
-        for row, q in rows:
-            x = rank[row + pm[q]]
-            if x > d:
-                d = x
-        if best_d is None or d < best_d:
-            best_d, best = d, p
-            if not d:
-                break
+    # d(p(f(k)), k) is read from row k of K's rank table; every p counts
+    best, p, tried = _closest(hom_set(f.cod, K, max_nodes=budget),
+                              tuple((k * K.n, q) for k, q in enumerate(f.map)),
+                              rank, len(values))
     budget.spend_each(tried)
-    if best_d is not None and best_d <= _within(values, e):
-        return True, best
+    if best <= _within(values, e):
+        return True, p
     return False, None
 
 
@@ -375,11 +370,9 @@ def _purity(f: MetMap, limit: int, bound: int, spaces, budget: NodeBudget):
                 budget.spend_each(charge + filling + admitting + len(ts)
                                   + len(vs) * ((low - 1) ^ below).bit_count())
                 u = homAK[low.bit_length() - 1]
-                gk = [(p * nK, b) for p, b in zip(u.map, g.map)]
-                # best stays None when no t exists at all; that fails the
-                # square even at infinite tolerance
-                best = min((max((krank[row + tm[b]] for row, b in gk), default=0)
-                            for _, tm in ts), default=None)
+                # no t at all fails the square even at infinite tolerance
+                best, t, _ = _closest(homBK, tuple((p * nK, b) for p, b in zip(u.map, g.map)),
+                                      krank, len(kvalues))
                 return False, PuritySquare(A, B, u, g, homBL[admitting - 1],
-                                           INF if best is None else kvalues[best])
+                                           INF if t is None else kvalues[best])
     return True, None

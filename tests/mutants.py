@@ -1,0 +1,162 @@
+"""A catalog of mutants and the runner that checks the tests kill them.
+
+Each mutant replaces one exact snippet of a source file and names the test
+selection that must fail on the result.  The runner copies ``src/``,
+``tests/`` and ``pyproject.toml`` into a temporary directory per mutant,
+applies the mutant there and runs its selection, one mutant at a time.  It
+exits 1 when a mutant survives, or when a snippet does not occur exactly
+once in its file (a refactor must update the catalog on purpose), and 0
+when every mutant not listed as equivalent is killed.  Equivalent mutants
+are checked to match, and are not run.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str          # relative to the repository root
+    snippet: str       # must occur exactly once in the file
+    replacement: str
+    selection: tuple[str, ...] = ()   # pytest node ids that must fail
+    equivalent: str = ""              # why no test can tell it apart
+
+
+INJ = "src/metricat/injectivity.py"
+INJ_TESTS = "tests/test_injectivity.py"
+SPLIT_BRUTE = f"{INJ_TESTS}::TestAgainstOracles::test_is_eps_split"
+DEFECT_BRUTE = f"{INJ_TESTS}::TestAgainstOracles::test_injectivity_defect"
+
+MUTANTS = (
+    Mutant("closest-ties-take-the-last", INJ,
+           "        if d < best:\n            best, closest = d, m\n",
+           "        if d <= best:\n            best, closest = d, m\n",
+           (SPLIT_BRUTE, DEFECT_BRUTE)),
+    Mutant("closest-no-stop-at-zero", INJ,
+           "            if not d:\n                break\n    return best, closest, tried\n",
+           "    return best, closest, tried\n",
+           (SPLIT_BRUTE, f"{INJ_TESTS}::TestEpsSplit")),
+    Mutant("closest-tried-off-by-one", INJ,
+           "    for tried, m in enumerate(maps, 1):\n",
+           "    for tried, m in enumerate(maps):\n",
+           (SPLIT_BRUTE, f"{INJ_TESTS}::TestEpsSplit")),
+    Mutant("defect-bound-past-infinity", INJ,
+           "                                  rank, top)\n",
+           "                                  rank, top + 1)\n",
+           (f"{INJ_TESTS}::TestEpsInjective", DEFECT_BRUTE)),
+    Mutant("defect-bound-below-infinity", INJ,
+           "                                  rank, top)\n",
+           "                                  rank, top - 1)\n",
+           (f"{INJ_TESTS}::TestEpsInjective", DEFECT_BRUTE)),
+    Mutant("split-bound-below-infinity", INJ,
+           "                              rank, len(values))\n",
+           "                              rank, len(values) - 1)\n",
+           (f"{INJ_TESTS}::TestEpsSplit", SPLIT_BRUTE)),
+    Mutant("purity-no-filler-not-infinite", INJ,
+           "INF if t is None else kvalues[best]",
+           "INF if t is not None else kvalues[best]",
+           (f"{INJ_TESTS}::TestPurity", f"{INJ_TESTS}::TestAgainstOracles::test_purity")),
+    Mutant("catalog-ignores-max-nodes", "src/metricat/fraisse.py",
+           "    budget = NodeBudget.of(max_nodes)\n    spaces = tuple(spaces)\n",
+           "    budget = NodeBudget()\n    spaces = tuple(spaces)\n",
+           ("tests/test_cli.py::TestFraisseCommands::test_chain_node_charges_are_pinned",)),
+    Mutant("coequalizer-keeps-g-codomain", "src/metricat/cli.py",
+           "        g = MetMap(g.dom, f.cod, g.map)\n",
+           "        pass\n",
+           ("tests/test_cli.py::TestColimitCommands::test_coequalizer_takes_f_codomain_labels",)),
+    Mutant("load-chain-takes-no-stages", "src/metricat/rundir.py",
+           "    if not sizes:\n",
+           "    if sizes is None:\n",
+           ("tests/test_cli.py::TestRunDirectoryErrors::test_schema_error_names_its_pointer",)),
+    Mutant("closest-ties-on-the-running-max", INJ,
+           "            if x > d:\n                d = x\n        if d < best:\n",
+           "            if x >= d:\n                d = x\n        if d < best:\n",
+           equivalent="x >= d stores the same value as x > d when x == d"),
+)
+
+
+def _mutated(mutant: Mutant) -> str:
+    """The text of the mutant's file with its snippet replaced."""
+    with open(os.path.join(ROOT, mutant.file), encoding="utf-8") as fh:
+        text = fh.read()
+    count = text.count(mutant.snippet)
+    if count != 1:
+        raise LookupError(f"{mutant.name}: snippet occurs {count} times in {mutant.file}")
+    return text.replace(mutant.snippet, mutant.replacement)
+
+
+def _copy(dest: str) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name), ignore=ignore)
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
+
+
+def _pytest(root: str, selection) -> int:
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("METRICAT_BUDGET_NODES", None)
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selection],
+        cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ).returncode
+
+
+def check(mutant: Mutant) -> str:
+    """``killed``, ``survived`` or, for an equivalent mutant, ``equivalent``.
+    Raises LookupError when the snippet does not match, and RuntimeError
+    when pytest ends other than by passing or failing tests."""
+    text = _mutated(mutant)
+    if mutant.equivalent:
+        return "equivalent"
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        _copy(tmp)
+        with open(os.path.join(tmp, mutant.file), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code = _pytest(tmp, mutant.selection)
+    if code not in (0, 1):
+        raise RuntimeError(f"{mutant.name}: pytest exited {code}")
+    return "killed" if code else "survived"
+
+
+def main(names) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}")
+        return 1
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    # Every selection must pass unmutated, or a failure would kill nothing.
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        _copy(tmp)
+        if _pytest(tmp, sorted({t for m in chosen for t in m.selection})) != 0:
+            print("the selections fail on the unmutated tree")
+            return 1
+    bad = 0
+    for mutant in chosen:
+        started = time.monotonic()
+        try:
+            outcome = check(mutant)
+        except (LookupError, RuntimeError) as exc:
+            outcome = f"error: {exc}"
+        bad += outcome not in ("killed", "equivalent")
+        print(f"{mutant.name}: {outcome} ({time.monotonic() - started:.1f} s)", flush=True)
+    print(f"{len(chosen)} mutants, {bad} not killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -10,6 +10,8 @@ from click.testing import CliRunner
 from metricat import canonical, colimits, homsearch
 from metricat.cli import main
 from metricat.colimits import FinDiagram
+from metricat.errors import SchemaError
+from metricat.rundir import load_chain
 from metricat.serialization import (
     diagram_to_json,
     family_to_json,
@@ -103,6 +105,16 @@ class TestSpaceCommands:
         assert result.exit_code == 1
         assert "TriangleViolation" in result.output
 
+    def test_validate_warns_on_non_canonical_literals(self, tmp_path):
+        doc = {"points": 2, "dist": [["0", "2/2"], [1, "0"]]}
+        result = invoke(["space", "validate", write_doc(tmp_path, "k.json", doc)])
+        assert result.exit_code == 0
+        assert result.stdout == "valid: 2 points\n"
+        assert result.stderr.splitlines() == [
+            "warning: /dist/0/1: non-canonical rational '2/2' normalized to 1",
+            "warning: /dist/1/0: integer literal accepted, canonical form is a string",
+        ]
+
     def test_validate_malformed_json(self, tmp_path):
         path = str(tmp_path / "broken.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -150,6 +162,27 @@ class TestColimitCommands:
         assert result.exit_code == 0
         doc = read_json(out)
         assert doc["apex"]["dist"] == [["0", "1"], ["1", "0"]]
+
+    def test_coequalizer_takes_f_codomain_labels(self, tmp_path):
+        # g's codomain is f's up to labels: g is moved onto f's codomain
+        labeled = two_point(5).relabel(("a", "b"))
+        f = MetMap(one_point(), labeled, (0,))
+        g = MetMap(one_point(), two_point(5), (1,))
+        path = write_doc(tmp_path, "pair.json", pair_to_json(f, g))
+        result = invoke(["colimit", "coequalizer", "--eps", "1", "--in", path])
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout)
+        assert doc["leg"]["dom"] == space_to_json(labeled)
+        assert doc["apex"]["dist"] == [["0", "1"], ["1", "0"]]
+
+    def test_arrow_target_out_of_range_is_a_schema_error(self, tmp_path):
+        doc = diagram_to_json(FinDiagram((one_point(), two_point(1)), ()))
+        doc["arrows"] = [{"src": 0, "dst": 2, "map": [0]}]
+        result = invoke(["colimit", "diagram", "--eps", "1", "--in",
+                         write_doc(tmp_path, "d.json", doc)])
+        assert result.exit_code == 2
+        assert "schema error at /arrows/0/dst:" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_diagram_without_arrows_is_a_coproduct(self, tmp_path):
         diagram = FinDiagram((one_point(), two_point(1)), ())
@@ -480,6 +513,29 @@ BAD_RUN_DIRS = {
 }
 
 
+# A decoder branch of a run directory per case, with the pointer its
+# SchemaError names.
+POINTED_RUN_DIRS = {
+    "outcome-not-an-object": (_set("manifest.json", ["outcome"], []),
+                              "manifest.json#/outcome"),
+    "complete-not-a-boolean": (_set("manifest.json", ["outcome", "complete"], 1),
+                               "manifest.json#/outcome/complete"),
+    "no-stages-listed": (_set("manifest.json", ["outcome", "stages"], []),
+                         "manifest.json#/outcome/stages"),
+    "coverage-not-a-boolean": (_set("spans/step_000.json", ["coverage_complete"], "yes"),
+                               "spans/step_000.json#/coverage_complete"),
+    "span-legs-from-different-domains": (
+        _set("spans/step_000.json", ["processed", 0, "h"],
+             map_to_json(MetMap(one_point(), one_point(), (0,)))),
+        "spans/step_000.json#/processed/0"),
+    "embedding-not-into-the-next-stage": (
+        _set("embeddings/k_000_001.json", ["cod"], "stages/K_000.json"),
+        "embeddings/k_000_001.json#"),
+    "stage-with-negative-points": (_replace("stages/K_000.json", {"points": -1, "dist": []}),
+                                   "stages/K_000.json#/points"),
+}
+
+
 class TestOutOfRangeArguments:
     """Counts below zero, worker counts below one and grid distances of zero
     are usage errors: exit code 2 and a message, never a traceback or a
@@ -547,6 +603,19 @@ class TestRunDirectoryErrors:
         result = invoke(["fraisse", "audit", run_dir])
         assert result.exit_code == 2
         assert "schema error" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("case", sorted(POINTED_RUN_DIRS))
+    def test_schema_error_names_its_pointer(self, tmp_path, case):
+        edit, pointer = POINTED_RUN_DIRS[case]
+        run_dir = self._build(tmp_path)
+        edit(run_dir)
+        with pytest.raises(SchemaError) as err:
+            load_chain(run_dir)
+        assert err.value.pointer == pointer
+        result = invoke(["fraisse", "audit", run_dir])
+        assert result.exit_code == 2
+        assert f"schema error at {pointer}:" in result.stderr
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("payload", [b"{oops", b"\xff\xfe"])

@@ -76,6 +76,13 @@ class TestEpsInjective:
         assert not is_eps_injective(two_point(2), f, 1)[0]
         assert is_eps_injective(two_point(2), f, 2)[0]
 
+    def test_defect_with_every_filler_at_infinity(self):
+        # Collapsing two points at INF: every h∘f is constant, so the
+        # identity g has no filler below INF, and no h is reported.
+        f = MetMap(two_point(INF), one_point(), (0, 0))
+        defect, g, h = injectivity_defect(two_point(INF), f)
+        assert (defect, g.map, h) == (INF, (0, 1), None)
+
     def test_failure_returns_replayable_witness(self):
         f = MetMap(two_point(2), one_point(), (0, 0))
         ok, witness = is_eps_injective(two_point(2), f, 1)
@@ -176,7 +183,18 @@ class TestEpsSplit:
 
     def test_no_retraction_at_all(self):
         f = MetMap(empty_space(), one_point(), ())
-        assert not is_eps_split(f, INF)[0]
+        assert is_eps_split(f, INF) == (False, None)
+
+    def test_every_retraction_at_infinity(self):
+        # Both retractions of the collapse of two points at INF send f's
+        # image to one point, so both lie at INF and the first counts.  The
+        # hom-set search spends 2 nodes and the scan tries both maps.
+        f = MetMap(two_point(INF), one_point(), (0, 0))
+        for eps, want in ((INF, (True, (0,))), (1, (False, None))):
+            budget = NodeBudget()
+            ok, p = is_eps_split(f, eps, max_nodes=budget)
+            assert (ok, None if p is None else p.map) == want
+            assert budget.used == 4
 
 
 class TestEpsMono:
@@ -362,6 +380,24 @@ def _draw_map(rng, max_points=3):
             return MetMap(dom, cod, rng.choice(maps))
 
 
+def _split_brute(f, eps):
+    """(verdict, witness, maps tried) of ``is_eps_split``: the first p of
+    hom(L, K) with the least d(p∘f, id), tried up to the first at distance
+    0, and a witness only within ``eps``."""
+    K = f.dom
+    best = best_p = None
+    tried = 0
+    for p in hom_brute(f.cod, K):
+        tried += 1
+        d = max((K.d(p[q], k) for k, q in enumerate(f.map)), default=ZERO)
+        if best is None or d < best:
+            best, best_p = d, p
+            if d == ZERO:
+                break
+    ok = best is not None and best <= rat(eps)
+    return ok, best_p if ok else None, tried
+
+
 class TestAgainstOracles:
     @given(st.integers(0, 2**30), st.sampled_from(EPS_VALUES),
            st.sampled_from(("pure", "weak", "bare")))
@@ -386,6 +422,17 @@ class TestAgainstOracles:
         defect, g, h = injectivity_defect(subject, f)
         got = (defect, None if g is None else g.map, None if h is None else h.map)
         assert got == injectivity_defect_brute(subject, f)
+
+    @given(st.integers(0, 2**30), st.sampled_from(EPS_VALUES))
+    def test_is_eps_split(self, seed, eps):
+        f = _draw_map(random.Random(seed))
+        budget, searched = NodeBudget(), NodeBudget()
+        ok, p = is_eps_split(f, eps, max_nodes=budget)
+        hom_set(f.cod, f.dom, max_nodes=searched)
+        want_ok, want_p, tried = _split_brute(f, eps)
+        assert (ok, None if p is None else p.map) == (want_ok, want_p)
+        # the hom-set search's nodes, then one per map tried
+        assert budget.used == searched.used + tried
 
     def test_purity_budget_does_not_depend_on_the_cache(self, monkeypatch):
         # One budget for the call.  The hom-set searches spend 35 nodes, the

@@ -85,6 +85,11 @@ class TestSpaceDocuments:
             space_from_json(doc)
         assert err.value.pointer == "/extra"
 
+    def test_negative_points_pointer(self):
+        with pytest.raises(SchemaError, match="points must be >= 0") as err:
+            space_from_json({"points": -1, "dist": []}, "/K")
+        assert err.value.pointer == "/K/points"
+
     def test_row_count_pointer(self):
         doc = {"points": 2, "dist": [["0", "1"]]}
         with pytest.raises(SchemaError) as err:
@@ -199,6 +204,13 @@ class TestDiagramDocuments:
         with pytest.raises(SchemaError) as err:
             diagram_from_json(doc)
         assert err.value.pointer == "/arrows/0/src"
+
+    def test_dst_range(self):
+        doc = diagram_to_json(self.diagram())
+        doc["arrows"][0]["dst"] = -1
+        with pytest.raises(SchemaError, match="dst -1 out of range") as err:
+            diagram_from_json(doc)
+        assert err.value.pointer == "/arrows/0/dst"
 
     @pytest.mark.parametrize("objects, entries, pointer, message", [
         ((one_point(), two_point(1)), [5], "/arrows/0/map/0", "index 5 out of range"),
