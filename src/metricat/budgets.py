@@ -5,9 +5,11 @@ extension search, universal-property verification) charges nodes against a
 budget and raises BudgetExceeded instead of truncating silently.  One
 ``NodeBudget`` bounds a whole command or top-level library call: a public
 ``max_nodes=`` takes a size, for a fresh budget, or a ``NodeBudget`` to
-share.  The environment variable METRICAT_BUDGET_NODES, when set, caps every
-node budget when it is made.  Searches memoize their results in ``Memo``s,
-which ``clear_memos`` empties.
+share.  A ``NodeBudget`` is a plain counter.  ``node_ceiling`` caps a size
+by the environment variable METRICAT_BUDGET_NODES; the command line applies
+it once per command, and library calls are bounded by ``max_nodes=`` alone.
+Searches memoize their results in ``Memo``s of ``CACHE_ENTRIES`` entries
+each, which ``clear_memos`` empties.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ DEFAULT_POINT_BUDGET = 64          # per constructed space in combinatorial ops
 DEFAULT_NODE_BUDGET = 10_000_000   # per command or top-level library call
 DEFAULT_STAGE_POINT_BUDGET = 256   # per chain stage
 DEFAULT_SPAN_BUDGET = 512          # spans attached per chain step
-CACHE_ENTRIES = 4096               # per memo of search results, by default
+CACHE_ENTRIES = 4096               # per memo of search results
 
 _ENV_NODES = "METRICAT_BUDGET_NODES"
 
@@ -42,7 +44,7 @@ class NodeBudget:
     __slots__ = ("limit", "used")
 
     def __init__(self, limit: int | None = None):
-        self.limit = node_ceiling(limit)
+        self.limit = DEFAULT_NODE_BUDGET if limit is None else limit
         self.used = 0
 
     @classmethod
@@ -72,7 +74,7 @@ class NodeBudget:
             return hit[0]
         start = self.used
         value = compute()
-        if len(memo) >= memo.entries:
+        if len(memo) >= CACHE_ENTRIES:
             del memo[next(iter(memo))]
         memo[key] = (value, self.used - start)
         return value
@@ -82,14 +84,14 @@ _MEMOS: list["Memo"] = []
 
 
 class Memo(dict):
-    """A bounded memo of search results for ``NodeBudget.cached``.  Every
-    memo is registered when made, so ``clear_memos`` empties them all."""
+    """A memo of search results for ``NodeBudget.cached``, bounded there by
+    ``CACHE_ENTRIES``.  Every memo is registered when made, so
+    ``clear_memos`` empties them all."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries: int = CACHE_ENTRIES):
+    def __init__(self):
         super().__init__()
-        self.entries = entries
         _MEMOS.append(self)
 
 

@@ -4,7 +4,9 @@ Every command body is a function run by :func:`runner`. It returns
 ``(payload, ok)``: a JSON document, written to ``--out`` or printed
 canonically, or a line of text, printed as it is. Before the command runs,
 the runner makes its one node budget, which every search it makes charges:
-``--budget-nodes`` capped by ``METRICAT_BUDGET_NODES``. It turns the
+``--budget-nodes`` capped by ``METRICAT_BUDGET_NODES``. The runner is the
+one place that reads that variable, once per command; ``laws run`` takes no
+node budget, so the variable does not bound it. The runner turns the
 outcome into an exit code: 0 when ``ok``, 1 when not (a property failure
 or counterexample) or on an invalid space, 2 on a usage or schema error or
 an output that cannot be written, 3 when a budget is exceeded.
@@ -21,7 +23,7 @@ import time
 
 import click
 
-from .budgets import DEFAULT_SPAN_BUDGET, DEFAULT_STAGE_POINT_BUDGET, NodeBudget
+from .budgets import DEFAULT_SPAN_BUDGET, DEFAULT_STAGE_POINT_BUDGET, NodeBudget, node_ceiling
 from .errors import BudgetExceeded, MetricatError, SchemaError, SpaceValidationError
 from .extrat import ZERO, ExtRat, rat
 
@@ -93,7 +95,7 @@ def runner(command):
     def run(out=None, **params):
         try:
             if "max_nodes" in params:
-                params["max_nodes"] = NodeBudget(params["max_nodes"])
+                params["max_nodes"] = NodeBudget(node_ceiling(params["max_nodes"]))
             payload, ok = command(**params)
             from .serialization import dumps_canonical, write_json
 
@@ -418,12 +420,13 @@ def fraisse():
 @runner
 def fraisse_enumerate(grid, max_size, max_nodes):
     from .fraisse import DistanceGrid, enumerate_spaces
+    from .rundir import grid_to_json
     from .serialization import space_to_json
 
     dgrid = DistanceGrid(grid, max_size)
     spaces = enumerate_spaces(dgrid, max_nodes=max_nodes)
     return {
-        "grid": {"values": [str(v) for v in dgrid.values], "max_size": max_size},
+        "grid": grid_to_json(dgrid),
         "count": len(spaces),
         "spaces": [space_to_json(s) for s in spaces],
     }, True
@@ -433,7 +436,7 @@ def fraisse_enumerate(grid, max_size, max_nodes):
 @click.option("--grid", type=GRID, required=True)
 @click.option("--steps", type=COUNT, required=True)
 @click.option("--max-size", type=COUNT, default=None,
-              help="Catalog size cap; defaults to steps.")
+              help="Catalog size cap; defaults to the larger of steps and 1.")
 @click.option("--policy", type=PolicyChoice(), default="iso-skip")
 @click.option("--seed", type=int, default=0)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)

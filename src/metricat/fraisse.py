@@ -18,17 +18,11 @@ from dataclasses import dataclass
 from .budgets import DEFAULT_SPAN_BUDGET, DEFAULT_STAGE_POINT_BUDGET, NodeBudget
 from .canonical import canonical_form
 from .colimits import Presentation
-from .errors import BudgetExceeded, MetricatError, MismatchedEndpoints, UsageError
+from .errors import (BudgetExceeded, MetricatError, MismatchedEndpoints,
+                     SpaceValidationError, UsageError)
 from .extrat import ZERO, ExtRat, rat
 from .homsearch import automorphisms, clear_caches, hom_set, isometric_fillers, isometry_set
-from .spaces import (
-    MetMap,
-    Space,
-    _axiom_violations,
-    empty_space,
-    is_isometry,
-    identity,
-)
+from .spaces import MetMap, Space, empty_space, identity, is_isometry
 
 
 @dataclass(frozen=True)
@@ -61,9 +55,10 @@ def enumerate_spaces(grid: DistanceGrid, *, max_nodes: int | None = None) -> tup
             dist = [[ZERO] * n for _ in range(n)]
             for (i, j), v in zip(pairs, combo):
                 dist[i][j] = dist[j][i] = v
-            if _axiom_violations(dist):
+            try:
+                space = Space._validated(tuple(map(tuple, dist)))
+            except SpaceValidationError:
                 continue
-            space = Space(tuple(tuple(row) for row in dist))
             canon = canonical_form(space, max_nodes=budget).space
             if canon.dist not in seen:
                 seen.add(canon.dist)
@@ -103,14 +98,11 @@ def catalog_isometries(spaces, *, max_size: int | None = None,
             if X.n > Y.n:
                 continue
             auts = automorphisms(Y, max_nodes=budget)
-            reps: dict[tuple[int, ...], MetMap] = {}
-            for h in isometry_set(X, Y, max_nodes=budget):
-                orbit_min = min(
-                    tuple(a.map[p] for p in h.map) for a in auts
-                )
-                if orbit_min not in reps:
-                    reps[orbit_min] = h
-            isometries.extend(reps[key] for key in sorted(reps))
+            # Isometries arrive in lexicographic order: h is kept exactly
+            # when no a∘h sorts before it, as its orbit's least member.
+            isometries.extend(
+                h for h in isometry_set(X, Y, max_nodes=budget)
+                if all(tuple(map(a.map.__getitem__, h.map)) >= h.map for a in auts))
     return IsometryCatalog(spaces, tuple(isometries), cap)
 
 

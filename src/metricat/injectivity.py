@@ -256,7 +256,7 @@ def is_eps_mono(f: MetMap, eps, family: TestFamily | None = None,
 PurityVariant = Literal["pure", "weak", "bare"]
 
 # purity's answers with the nodes they cost, keyed by the ranks they depend on
-_purity_memo = Memo(1024)
+_purity_memo = Memo()
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,11 @@ INJ = "src/metricat/injectivity.py"
 INJ_TESTS = "tests/test_injectivity.py"
 SPLIT_BRUTE = f"{INJ_TESTS}::TestAgainstOracles::test_is_eps_split"
 DEFECT_BRUTE = f"{INJ_TESTS}::TestAgainstOracles::test_injectivity_defect"
+KERNEL = "src/metricat/homsearch.py"
+KERNEL_BRUTE = "tests/test_homsearch.py::TestSearchKernel::test_agrees_with_the_per_candidate_search"
+CLOSURE = "src/metricat/reflect.py"
+CLOSURE_BRUTE = "tests/test_reflect.py::TestClosureOracle"
+BUDGETS = "src/metricat/budgets.py"
 
 MUTANTS = (
     Mutant("closest-ties-take-the-last", INJ,
@@ -82,6 +87,48 @@ MUTANTS = (
            "    if not sizes:\n",
            "    if sizes is None:\n",
            ("tests/test_cli.py::TestRunDirectoryErrors::test_schema_error_names_its_pointer",)),
+    Mutant("kernel-popcount-off-by-one", KERNEL,
+           "below = tried[i] & ((low << 1) - 1)",
+           "below = tried[i] & (low - 1)",
+           (KERNEL_BRUTE,)),
+    Mutant("kernel-ball-for-sphere", KERNEL,
+           "a &= (b[r] ^ b[r - 1] if r else b[0]) if exact else b[r]",
+           "a &= b[r]",
+           (KERNEL_BRUTE,)),
+    Mutant("kernel-highest-bit-first", KERNEL,
+           "low = a & -a",
+           "low = 1 << (a.bit_length() - 1)",
+           (KERNEL_BRUTE,)),
+    Mutant("kernel-no-trailing-charge", KERNEL,
+           "                if tried[i]:\n                    spend(tried[i].bit_count())\n",
+           "",
+           (KERNEL_BRUTE,)),
+    Mutant("spend-each-unclamped", BUDGETS,
+           "self.used = max(self.used, self.limit) + 1",
+           "self.used += n",
+           (KERNEL_BRUTE,)),
+    Mutant("closure-stale-neighbourhoods", CLOSURE,
+           "near = list(compress(range(n), map(sentinel.__gt__, mk)))",
+           "near = [j for j, x in enumerate(dist[k]) if x != INF]",   # as read before closing
+           (CLOSURE_BRUTE,)),
+    Mutant("closure-one-sided-write", CLOSURE,
+           "                    m[j][i] = alt\n",
+           "",
+           (CLOSURE_BRUTE,)),
+    Mutant("budget-reads-the-environment", BUDGETS,
+           "self.limit = DEFAULT_NODE_BUDGET if limit is None else limit",
+           "self.limit = node_ceiling(limit)",
+           ("tests/test_cli.py::TestCommandContract::test_only_the_command_line_reads_the_node_cap",)),
+    Mutant("memo-evicts-late", BUDGETS,
+           "if len(memo) >= CACHE_ENTRIES:",
+           "if len(memo) > CACHE_ENTRIES:",
+           (f"{INJ_TESTS}::TestPurityMemo::test_keeps_at_most_its_bound",
+            "tests/test_homsearch.py::TestHomSet::"
+            "test_cache_is_bounded_and_an_evicted_entry_charges_the_same")),
+    Mutant("catalog-keeps-every-isometry", "src/metricat/fraisse.py",
+           ">= h.map for a in auts",
+           ">= () for a in auts",
+           ("tests/test_fraisse.py::TestCatalog",)),
     Mutant("closest-ties-on-the-running-max", INJ,
            "            if x > d:\n                d = x\n        if d < best:\n",
            "            if x >= d:\n                d = x\n        if d < best:\n",

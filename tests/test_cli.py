@@ -11,10 +11,12 @@ from metricat import canonical, colimits, homsearch
 from metricat.cli import main
 from metricat.colimits import FinDiagram
 from metricat.errors import SchemaError
+from metricat.injectivity import purity
 from metricat.rundir import load_chain
 from metricat.serialization import (
     diagram_to_json,
     family_to_json,
+    map_from_json,
     map_to_json,
     pair_to_json,
     read_json,
@@ -744,6 +746,18 @@ class TestCommandContract:
         assert "METRICAT_BUDGET_NODES is not an integer" in result.stderr
         assert "Traceback" not in result.stderr
         assert not os.path.exists(tmp_path / "built")
+
+    def test_only_the_command_line_reads_the_node_cap(self, monkeypatch):
+        # The variable caps a command's --budget-nodes; a library call is
+        # bounded by its max_nodes= alone.
+        monkeypatch.setenv("METRICAT_BUDGET_NODES", "0")
+        homsearch.clear_caches()
+        assert len(homsearch.hom_set(PATH3, PATH3)) == 17
+        assert purity(map_from_json(read_json(SECTION)), 0) == (True, None)
+        result = invoke(DOCUMENTS["pure"])
+        assert result.exit_code == 3
+        assert result.stderr == ("budget exceeded: search spent 1 nodes, "
+                                 "over the node budget of 0\n")
 
     def test_parameters_keep_their_order_and_defaults(self):
         seen = {}

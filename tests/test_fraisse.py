@@ -129,6 +129,27 @@ class TestCatalog:
         ]
         assert crossing == []
 
+    @pytest.mark.parametrize("values, cap, count, nodes", [
+        ("1,2", 3, 31, 715), ("1,2,3", 3, 70, 2135),
+        ("1/2,1,3/2,2", 3, 134, 5502), ("1,2", 4, 145, 15161)])
+    def test_least_member_of_each_orbit(self, values, cap, count, nodes):
+        # Per pair X, Y: the least member of each orbit of Y's automorphisms
+        # on the isometries X -> Y, in ascending order; the catalog charges
+        # the automorphism and isometry searches it makes.
+        spaces = enumerate_spaces(DistanceGrid(tuple(map(rat, values.split(","))), cap))
+        homsearch.clear_caches()
+        budget = NodeBudget()
+        catalog = catalog_isometries(spaces, max_size=cap, max_nodes=budget)
+        want = []
+        for X in spaces:
+            for Y in spaces:
+                auts = homsearch.automorphisms(Y)
+                orbits = {frozenset(tuple(a.map[p] for p in h.map) for a in auts)
+                          for h in homsearch.isometry_set(X, Y)}
+                want += [(X, Y, m) for m in sorted(map(min, orbits))]
+        assert [(h.dom, h.cod, h.map) for h in catalog.isometries] == want
+        assert (len(want), budget.used) == (count, nodes)
+
     def test_strata_are_nested(self):
         catalog = catalog_isometries(enumerate_spaces(GRID_12), max_size=3)
         small = set((h.dom.dist, h.cod.dist, h.map) for h in catalog.stratum(0))

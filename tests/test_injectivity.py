@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from metricat import canonical, injectivity
-from metricat.budgets import NodeBudget
+from metricat.budgets import CACHE_ENTRIES, NodeBudget
 from metricat.canonical import canonical_form
 from metricat.corpus import CorpusConfig, random_space, random_split_mono
 from metricat.errors import BudgetExceeded, UsageError
@@ -434,7 +434,7 @@ class TestAgainstOracles:
         # the hom-set search's nodes, then one per map tried
         assert budget.used == searched.used + tried
 
-    def test_purity_budget_does_not_depend_on_the_cache(self, monkeypatch):
+    def test_purity_budget_does_not_depend_on_the_cache(self):
         # One budget for the call.  The hom-set searches spend 35 nodes, the
         # dearest hom(two_point(1), K) 4 for the first point and 4 * 4 for
         # the second.  Each of the 92 squares tries one closing v and one
@@ -443,16 +443,13 @@ class TestAgainstOracles:
         fam = ProbeFamily((one_point(), two_point(1)))
         clear_caches()
         for warm in (False, True):
-            monkeypatch.setenv("METRICAT_BUDGET_NODES", "218")
             with pytest.raises(BudgetExceeded) as short:
-                purity(identity(K), 1, "pure", fam)
+                purity(identity(K), 1, "pure", fam, max_nodes=218)
             assert str(short.value) == ("search spent 219 nodes, "
                                         "over the node budget of 218")
             if not warm:
-                monkeypatch.delenv("METRICAT_BUDGET_NODES")
                 purity(identity(K), 1, "pure", fam)
-            monkeypatch.setenv("METRICAT_BUDGET_NODES", "219")
-            assert purity(identity(K), 1, "pure", fam) == (True, None)
+            assert purity(identity(K), 1, "pure", fam, max_nodes=219) == (True, None)
 
 
 def _purity_by_square(f, eps, variant, spaces, budget):
@@ -576,9 +573,9 @@ class TestPurityMemo:
         clear_caches()
         memo = injectivity._purity_memo
         empty = ProbeFamily(())
-        for k in range(1, memo.entries + 10):
+        for k in range(1, CACHE_ENTRIES + 10):
             purity(identity(two_point(k)), 0, "pure", empty)
-            assert len(memo) <= memo.entries
-        assert len(memo) == memo.entries == 1024
+            assert len(memo) <= CACHE_ENTRIES
+        assert len(memo) == CACHE_ENTRIES
         # the oldest entries went first
         assert (two_point(1), two_point(1), (0, 1), 0, 0, ()) not in memo
