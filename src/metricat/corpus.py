@@ -56,21 +56,21 @@ def random_space(rng: random.Random, cfg: CorpusConfig = CorpusConfig(),
 
 @lru_cache(maxsize=256)
 def _grid_space(n: int, upper: tuple) -> Space | None:
-    """The space on n points whose upper triangle, row by row, is ``upper``,
-    validated once; None when it breaks an axiom."""
+    """The space on n points whose upper triangle of ``ExtRat``s, row by
+    row, is ``upper``, validated once; None when it breaks an axiom."""
     try:
-        return validate_space(_rows(n, upper))
+        return Space._validated(_rows(n, upper))
     except SpaceValidationError:
         return None
 
 
-def _rows(n: int, upper) -> list[list]:
+def _rows(n: int, upper) -> tuple[tuple, ...]:
     rows = [[ZERO] * n for _ in range(n)]
     values = iter(upper)
     for i in range(n):
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = next(values)
-    return rows
+    return tuple(map(tuple, rows))
 
 
 def random_semimetric(rng: random.Random, n: int, values) -> Semimetric:

@@ -21,7 +21,7 @@ from .colimits import Presentation
 from .errors import (BudgetExceeded, MetricatError, MismatchedEndpoints,
                      SpaceValidationError, UsageError)
 from .extrat import ZERO, ExtRat, rat
-from .homsearch import automorphisms, clear_caches, hom_set, isometric_fillers, isometry_set
+from .homsearch import _fillers, automorphisms, clear_caches, hom_set, isometry_set
 from .spaces import MetMap, Space, empty_space, identity, is_isometry
 
 
@@ -214,7 +214,8 @@ def gather_spans(space: Space, stratum, policy: SpanPolicy,
     Two anchors u, u∘tau with tau in the span's dedup group give the same
     span, and the group maps anchors to anchors, so each orbit is kept once,
     by its least member.  The anchors arrive in lexicographic order, so u is
-    kept exactly when no u∘tau sorts before it.
+    kept exactly when no u∘tau sorts before it.  The skip rule runs one
+    filler search plan per h (``homsearch._fillers``) over the anchors.
 
     With ``max_spans`` set, BudgetExceeded is raised at the first span past
     the cap, before any further search.
@@ -227,12 +228,12 @@ def gather_spans(space: Space, stratum, policy: SpanPolicy,
         anchors = (isometry_set if policy.isometric_u else hom_set)(X, space, max_nodes=budget)
         identity_map = tuple(range(X.n))
         moves = [tau for tau in _span_dedup_group(h, budget) if tau != identity_map]
+        fillers = _fillers(h, space, budget)
         for u in anchors:
             m = u.map
             if moves and any(tuple(map(m.__getitem__, tau)) < m for tau in moves):
                 continue
-            if policy.skip_satisfied and isometric_fillers(h, u, first_only=True,
-                                                           max_nodes=budget):
+            if policy.skip_satisfied and next(fillers(m), None) is not None:
                 skipped += 1
                 continue
             spans.append(Span(u, h))
@@ -304,24 +305,24 @@ class AuditReport:
 def audit_saturation(stages, catalog: IsometryCatalog,
                      *, max_nodes: int | None = None) -> AuditReport:
     """Certify: every isometric u': X -> K_n extends along every stratum-n
-    isometry h: X -> Y to an isometric v: Y -> K_{n+1} with v∘h = k∘u'."""
+    isometry h: X -> Y to an isometric v: Y -> K_{n+1} with v∘h = k∘u',
+    through one filler search plan per (stage, h) (``homsearch._fillers``)."""
     budget = NodeBudget.of(max_nodes)
     out = []
-    ok = True
     for n in range(len(stages) - 1):
         stage = stages[n]
-        if stage.embedding is None:
-            continue
         k = stage.embedding
+        if k is None:
+            continue
+        if k.dom != stage.space:
+            raise MismatchedEndpoints("stage embedding must start at its stage")
         checked = 0
         missing = []
         for h in catalog.stratum(stage.stratum):
+            fillers = _fillers(h, k.cod, budget)
             for u in isometry_set(h.dom, stage.space, max_nodes=budget):
                 checked += 1
-                pinned = u.then(k)
-                if not isometric_fillers(h, pinned, first_only=True, max_nodes=budget):
+                if next(fillers(tuple(map(k.map.__getitem__, u.map))), None) is None:
                     missing.append(AuditWitness(n, h, u))
-        if missing:
-            ok = False
         out.append(StageAudit(n, checked, tuple(missing)))
-    return AuditReport(tuple(out), ok)
+    return AuditReport(tuple(out), not any(a.missing for a in out))

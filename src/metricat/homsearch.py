@@ -20,16 +20,15 @@ candidate in turn would.  A cached hom-set or isometry set keeps the
 nodes its search spent and a cache hit charges them again, so a budget's
 outcome does not depend on the cache; each cache is a ``budgets.Memo`` of
 at most ``budgets.CACHE_ENTRIES`` entries, and ``clear_caches`` empties
-every such memo.  The translation of a pair's
-distances into ranks is memoized per (domain, codomain, relation) in a
-bounded LRU for filler searches, whose results are not cached.  Mediator
-searches bypass it, as their apex lives for one verification.
+every such memo.  Filler searches are not cached: ``_fillers`` resolves a
+search into K along h once (rank translation, balls, forced positions and
+charge), and the chain builder and the saturation audit run that plan for
+every map pinned into K.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
 from itertools import islice
 
 from .budgets import Memo, NodeBudget, clear_memos
@@ -41,16 +40,14 @@ _iso_cache = Memo()
 
 
 def clear_caches() -> None:
-    """Empty every search memo (``budgets.Memo``) and the rank translations."""
+    """Empty every search memo (``budgets.Memo``)."""
     clear_memos()
-    _required.cache_clear()
 
 
-@lru_cache(maxsize=256)
 def _required(dom: Space, cod: Space, exact: bool) -> tuple[tuple[int, ...], ...] | None:
     """dom's distances as cod ranks: the rank an image pair must equal
-    (``exact``) or not exceed.  None when an exact search needs a distance
-    that cod lacks."""
+    (``exact``) or not exceed; () for an empty dom.  None when an exact
+    search needs a distance that cod lacks."""
     values, _ = cod.ranks()
     dvalues, drank = dom.ranks()
     if exact:
@@ -59,29 +56,21 @@ def _required(dom: Space, cod: Space, exact: bool) -> tuple[tuple[int, ...], ...
             return None
     else:
         to = [bisect_right(values, v) - 1 for v in dvalues]
-    return tuple(tuple(to[r] for r in drank[i:i + dom.n]) for i in range(0, len(drank), dom.n))
+    return tuple(tuple(to[r] for r in drank[i:i + dom.n]) for i in range(0, len(drank), dom.n or 1))
 
 
-def _search(dom: Space, cod: Space, exact: bool, budget: NodeBudget, forced=None,
-            memo: bool = True):
-    """Index tuples of the maps dom -> cod, lexicographically ordered.
-
-    ``forced`` maps points of dom to the only image they may take.  With
-    ``memo`` false the rank translation bypasses its memo.
-    """
-    n, m = dom.n, cod.n
-    if n == 0:
+def _search(req, balls, exact: bool, spend, forced=None):
+    """Index tuples of the maps dom -> cod, lexicographically ordered, with
+    ``req = _required(dom, cod, exact)``, ``balls = cod.balls()`` and nodes
+    charged through ``spend``.  ``forced`` maps points of dom to the only
+    image they may take."""
+    if req == ():
         yield ()
+    if not (req and balls):
         return
-    if m == 0:
-        return
-    req = (_required if memo else _required.__wrapped__)(dom, cod, exact)
-    if req is None:
-        return
-    balls = cod.balls()
+    n, m = len(req), len(balls)
     forced = forced or {}
     anchor = min(forced, default=None) if exact else None
-    spend = budget.spend_each
     img = [0] * n
     tried = [0] * n   # per level: the candidates tried and not yet charged
     left = [0] * n    # per level: the accepted candidates not yet visited
@@ -132,10 +121,8 @@ def _wrap(dom: Space, cod: Space, tuples) -> tuple[MetMap, ...]:
 def _enumerate(cache: Memo, dom: Space, cod: Space, exact: bool,
                max_nodes: int | NodeBudget | None) -> tuple[MetMap, ...]:
     budget = NodeBudget.of(max_nodes)
-    # A cached result is searched for once: its rank translation would
-    # never be looked up again.
-    return budget.cached(cache, (dom, cod), lambda: _wrap(
-        dom, cod, _search(dom, cod, exact, budget, memo=False)))
+    return budget.cached(cache, (dom, cod), lambda: _wrap(dom, cod, _search(
+        _required(dom, cod, exact), cod.balls(), exact, budget.spend_each)))
 
 
 def hom_set(dom: Space, cod: Space, *, max_nodes: int | None = None) -> tuple[MetMap, ...]:
@@ -153,6 +140,21 @@ def automorphisms(space: Space, *, max_nodes: int | None = None) -> tuple[MetMap
     return isometry_set(space, space, max_nodes=max_nodes)
 
 
+def _fillers(h: MetMap, cod: Space, budget: NodeBudget):
+    """A function from the index tuple of a pinned map X -> cod to those of
+    the isometric v: Y -> cod with v∘h = pinned, in order and charged to
+    ``budget``, for h: X -> Y.  Pins that send one point of Y to two points
+    of cod give none, with no charge."""
+    req, balls, spend = _required(h.cod, cod, True), cod.balls(), budget.spend_each
+
+    def fillers(pins):
+        forced = dict(zip(h.map, pins))
+        if len(forced) < len(h.map) and any(forced[y] != k for y, k in zip(h.map, pins)):
+            return iter(())
+        return _search(req, balls, True, spend, forced)
+    return fillers
+
+
 def isometric_fillers(
     h: MetMap,
     pinned: MetMap,
@@ -163,16 +165,11 @@ def isometric_fillers(
     """Isometric v: cod(h) -> cod(pinned) with v∘h = pinned.
 
     ``h`` maps X -> Y and ``pinned`` maps X -> K; the search assigns the
-    points of Y, with h-image points forced through ``pinned``.  Used both by
-    the chain builder's skip rule and by the saturation audit.  With
-    ``first_only`` it returns the lexicographically first filler alone.
+    points of Y, with h-image points forced through ``pinned``, as the chain
+    builder's skip rule and the saturation audit do through ``_fillers``.
+    With ``first_only`` it returns the lexicographically first filler alone.
     """
     if h.dom != pinned.dom:
         raise InvalidMorphism("filler search needs a shared domain")
-    budget = NodeBudget.of(max_nodes)
-    forced: dict[int, int] = {}
-    for y, k in zip(h.map, pinned.map):
-        if forced.setdefault(y, k) != k:
-            return ()
-    found = _search(h.cod, pinned.cod, True, budget, forced)
+    found = _fillers(h, pinned.cod, NodeBudget.of(max_nodes))(pinned.map)
     return _wrap(h.cod, pinned.cod, islice(found, 1 if first_only else None))

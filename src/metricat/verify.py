@@ -57,7 +57,7 @@ from .colimits import (
 )
 from .errors import MismatchedEndpoints
 from .extrat import ZERO, ExtRat
-from .homsearch import _search, hom_set
+from .homsearch import _required, _search, hom_set
 from .spaces import MetMap, Space
 
 
@@ -261,7 +261,8 @@ class _Join:
         pins: None when there is exactly one."""
         apex, target, v = self.apex, self.target, self.v
         forced = {p: v[k] for p, k in enumerate(apex.first) if k < len(v)}
-        found = _search(apex.space, target, False, self.budget, forced, memo=False)
+        found = _search(_required(apex.space, target, False), target.balls(), False,
+                        self.budget.spend_each, forced)
         first_two = tuple(islice(found, 2))
         if len(first_two) == 1:
             return None

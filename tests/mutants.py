@@ -3,11 +3,15 @@
 Each mutant replaces one exact snippet of a source file and names the test
 selection that must fail on the result.  The runner copies ``src/``,
 ``tests/`` and ``pyproject.toml`` into a temporary directory per mutant,
-applies the mutant there and runs its selection, one mutant at a time.  It
-exits 1 when a mutant survives, or when a snippet does not occur exactly
-once in its file (a refactor must update the catalog on purpose), and 0
-when every mutant not listed as equivalent is killed.  Equivalent mutants
-are checked to match, and are not run.
+applies the mutant there and runs its selection, one mutant at a time.  A
+mutant is killed when pytest exits 1 and its ``-rf`` summary names a
+failure other than a ``NameError``, ``ImportError`` or ``SyntaxError``: a
+replacement that breaks the code's names, imports or syntax fails every
+test and shows nothing, so it is reported as broken.  The runner exits 1
+when a mutant survives or is broken, or when a snippet does not occur
+exactly once in its file (a refactor must update the catalog on purpose),
+and 0 when every mutant not listed as equivalent is killed.  Equivalent
+mutants are checked to match, and are not run.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # the named ones
@@ -45,6 +49,11 @@ KERNEL_BRUTE = "tests/test_homsearch.py::TestSearchKernel::test_agrees_with_the_
 CLOSURE = "src/metricat/reflect.py"
 CLOSURE_BRUTE = "tests/test_reflect.py::TestClosureOracle"
 BUDGETS = "src/metricat/budgets.py"
+FRAISSE = "src/metricat/fraisse.py"
+PLAN_TESTS = "tests/test_fraisse.py::TestFillerPlan"
+# Exceptions (and their subclasses) that a broken replacement raises.
+BROKEN_BY = frozenset({"NameError", "UnboundLocalError", "ImportError", "ModuleNotFoundError",
+                       "SyntaxError", "IndentationError", "TabError"})
 
 MUTANTS = (
     Mutant("closest-ties-take-the-last", INJ,
@@ -75,7 +84,7 @@ MUTANTS = (
            "INF if t is None else kvalues[best]",
            "INF if t is not None else kvalues[best]",
            (f"{INJ_TESTS}::TestPurity", f"{INJ_TESTS}::TestAgainstOracles::test_purity")),
-    Mutant("catalog-ignores-max-nodes", "src/metricat/fraisse.py",
+    Mutant("catalog-ignores-max-nodes", FRAISSE,
            "    budget = NodeBudget.of(max_nodes)\n    spaces = tuple(spaces)\n",
            "    budget = NodeBudget()\n    spaces = tuple(spaces)\n",
            ("tests/test_cli.py::TestFraisseCommands::test_chain_node_charges_are_pinned",)),
@@ -125,10 +134,26 @@ MUTANTS = (
            (f"{INJ_TESTS}::TestPurityMemo::test_keeps_at_most_its_bound",
             "tests/test_homsearch.py::TestHomSet::"
             "test_cache_is_bounded_and_an_evicted_entry_charges_the_same")),
-    Mutant("catalog-keeps-every-isometry", "src/metricat/fraisse.py",
+    Mutant("catalog-keeps-every-isometry", FRAISSE,
            ">= h.map for a in auts",
            ">= () for a in auts",
            ("tests/test_fraisse.py::TestCatalog",)),
+    Mutant("plan-no-conflict-check", KERNEL,
+           "            return iter(())\n",
+           "            pass\n",
+           (f"{PLAN_TESTS}::test_conflicting_pins_give_none",)),
+    Mutant("plan-non-isometric", KERNEL,
+           "return _search(req, balls, True, spend, forced)",
+           "return _search(req, balls, False, spend, forced)",
+           (f"{PLAN_TESTS}::test_gathers_agree_with_a_search_per_anchor",)),
+    Mutant("gather-empty-filler-absent", FRAISSE,
+           "next(fillers(m), None) is not None",
+           "next(fillers(m), None)",
+           (f"{PLAN_TESTS}::test_gathers_agree_with_a_search_per_anchor",)),
+    Mutant("audit-empty-filler-absent", FRAISSE,
+           "next(fillers(tuple(map(k.map.__getitem__, u.map))), None) is None",
+           "not next(fillers(tuple(map(k.map.__getitem__, u.map))), None)",
+           (f"{PLAN_TESTS}::test_audit_charge_is_pinned",)),
     Mutant("closest-ties-on-the-running-max", INJ,
            "            if x > d:\n                d = x\n        if d < best:\n",
            "            if x >= d:\n                d = x\n        if d < best:\n",
@@ -153,20 +178,35 @@ def _copy(dest: str) -> None:
     shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
 
 
-def _pytest(root: str, selection) -> int:
+def _pytest(root: str, selection) -> tuple[int, str]:
+    """pytest's exit code on the selection, and its standard output with
+    the ``-rf`` summary, whose lines are wide enough to name each failure."""
     env = {**os.environ, "PYTHONPATH": os.path.join(root, "src"),
-           "PYTHONDONTWRITEBYTECODE": "1"}
+           "PYTHONDONTWRITEBYTECODE": "1", "COLUMNS": "10000"}
     env.pop("METRICAT_BUDGET_NODES", None)
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selection],
-        cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    ).returncode
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider",
+         *selection],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    return run.returncode, run.stdout
+
+
+def outcome(code: int, summary: str) -> str:
+    """``survived`` when the selection passed; ``killed`` when pytest exited
+    1 and a ``FAILED`` line of its summary names an exception outside
+    ``BROKEN_BY``; else ``broken``."""
+    if code == 0:
+        return "survived"
+    failures = {line.split(" - ", 1)[1].split(":", 1)[0].rsplit(".", 1)[-1]
+                for line in summary.splitlines()
+                if line.startswith("FAILED ") and " - " in line}
+    return "killed" if code == 1 and failures - BROKEN_BY else "broken"
 
 
 def check(mutant: Mutant) -> str:
-    """``killed``, ``survived`` or, for an equivalent mutant, ``equivalent``.
-    Raises LookupError when the snippet does not match, and RuntimeError
-    when pytest ends other than by passing or failing tests."""
+    """``killed``, ``survived``, ``broken`` or, for an equivalent mutant,
+    ``equivalent``.  Raises LookupError when the snippet does not match."""
     text = _mutated(mutant)
     if mutant.equivalent:
         return "equivalent"
@@ -174,10 +214,7 @@ def check(mutant: Mutant) -> str:
         _copy(tmp)
         with open(os.path.join(tmp, mutant.file), "w", encoding="utf-8") as fh:
             fh.write(text)
-        code = _pytest(tmp, mutant.selection)
-    if code not in (0, 1):
-        raise RuntimeError(f"{mutant.name}: pytest exited {code}")
-    return "killed" if code else "survived"
+        return outcome(*_pytest(tmp, mutant.selection))
 
 
 def main(names) -> int:
@@ -189,18 +226,18 @@ def main(names) -> int:
     # Every selection must pass unmutated, or a failure would kill nothing.
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         _copy(tmp)
-        if _pytest(tmp, sorted({t for m in chosen for t in m.selection})) != 0:
+        if _pytest(tmp, sorted({t for m in chosen for t in m.selection}))[0] != 0:
             print("the selections fail on the unmutated tree")
             return 1
     bad = 0
     for mutant in chosen:
         started = time.monotonic()
         try:
-            outcome = check(mutant)
-        except (LookupError, RuntimeError) as exc:
-            outcome = f"error: {exc}"
-        bad += outcome not in ("killed", "equivalent")
-        print(f"{mutant.name}: {outcome} ({time.monotonic() - started:.1f} s)", flush=True)
+            result = check(mutant)
+        except LookupError as exc:
+            result = f"error: {exc}"
+        bad += result not in ("killed", "equivalent")
+        print(f"{mutant.name}: {result} ({time.monotonic() - started:.1f} s)", flush=True)
     print(f"{len(chosen)} mutants, {bad} not killed")
     return 1 if bad else 0
 

@@ -81,10 +81,33 @@ CHAIN_RUN_SHA256 = {
 }
 CHAIN_BUILD_NODES = 1748
 CHAIN_AUDIT_NODES = 2330
+# The same least budgets for builds that take other gather paths: full
+# anchors with the skip rule, and six steps over a three-value grid.
+GATHER_PATH_NODES = [
+    (["fraisse", "build", "--grid", "1,2", "--max-size", "3", "--steps", "2",
+      "--policy", "full-skip"], 847, 812),
+    (["fraisse", "build", "--grid", "1,2,3", "--max-size", "2", "--steps", "6"], 3261, 3507),
+]
 
 
 def invoke(args):
     return CliRunner().invoke(main, args, catch_exceptions=False)
+
+
+def _assert_least_budgets(tmp_path, build, build_nodes, audit_nodes):
+    """The build passes at build_nodes and exits 3 one below; so does
+    `fraisse audit` on its run at audit_nodes, naming the node it stopped at."""
+    run_dir = str(tmp_path / "run")
+    short = str(tmp_path / "short")
+    assert invoke([*build, "--budget-nodes", str(build_nodes - 1),
+                   "--out", short]).exit_code == 3
+    assert invoke([*build, "--budget-nodes", str(build_nodes), "--out", run_dir]).exit_code == 0
+    audit = ["fraisse", "audit", run_dir, "--budget-nodes"]
+    assert invoke([*audit, str(audit_nodes)]).exit_code == 0
+    result = invoke([*audit, str(audit_nodes - 1)])
+    assert result.exit_code == 3
+    assert result.stderr == (f"budget exceeded: search spent {audit_nodes} nodes, "
+                             f"over the node budget of {audit_nodes - 1}\n")
 
 
 def write_doc(tmp_path, name, payload):
@@ -412,18 +435,12 @@ class TestFraisseCommands:
         assert manifest["outcome"] == {"complete": True, "stages": [0, 1, 7, 133]}
 
     def test_chain_node_charges_are_pinned(self, tmp_path):
-        run_dir = str(tmp_path / "run")
-        short = str(tmp_path / "short")
-        assert invoke([*CHAIN_ARGS, "--budget-nodes", str(CHAIN_BUILD_NODES - 1),
-                       "--out", short]).exit_code == 3
-        assert invoke([*CHAIN_ARGS, "--budget-nodes", str(CHAIN_BUILD_NODES),
-                       "--out", run_dir]).exit_code == 0
-        audit = ["fraisse", "audit", run_dir, "--budget-nodes"]
-        assert invoke([*audit, str(CHAIN_AUDIT_NODES)]).exit_code == 0
-        result = invoke([*audit, str(CHAIN_AUDIT_NODES - 1)])
-        assert result.exit_code == 3
-        assert result.stderr == (f"budget exceeded: search spent {CHAIN_AUDIT_NODES} nodes, "
-                                 f"over the node budget of {CHAIN_AUDIT_NODES - 1}\n")
+        _assert_least_budgets(tmp_path, CHAIN_ARGS, CHAIN_BUILD_NODES, CHAIN_AUDIT_NODES)
+
+    @pytest.mark.parametrize("args, build_nodes, audit_nodes", GATHER_PATH_NODES)
+    def test_gather_path_node_charges_are_pinned(self, tmp_path, args, build_nodes,
+                                                 audit_nodes):
+        _assert_least_budgets(tmp_path, args, build_nodes, audit_nodes)
 
     def test_halved_grid_builds_the_halved_chain(self, tmp_path):
         # Grid {1/2, 1} is grid {1, 2} at half scale: the same stages, maps,

@@ -1,4 +1,5 @@
 import os
+import random
 from collections import Counter
 from itertools import accumulate
 
@@ -8,7 +9,7 @@ from metricat import canonical, homsearch, rundir
 from metricat.budgets import NodeBudget
 from metricat.canonical import are_isomorphic
 from metricat.colimits import pushout
-from metricat.errors import BudgetExceeded, SchemaError, UsageError
+from metricat.errors import BudgetExceeded, MismatchedEndpoints, SchemaError, UsageError
 from metricat.extrat import INF, ExtRat, rat
 from metricat.fraisse import (
     POLICIES,
@@ -24,6 +25,7 @@ from metricat.fraisse import (
     gather_spans,
     policy_name,
 )
+from metricat.homsearch import _fillers, hom_set, isometric_fillers, isometry_set
 from metricat.rundir import (
     grid_from_json,
     grid_to_json,
@@ -45,6 +47,50 @@ from .oracles import gather_spans_brute
 
 GRID_1 = DistanceGrid((rat(1),), 2)
 GRID_12 = DistanceGrid((rat(1), rat(2)), 3)
+# Stratum-3 gathers over the last stage of the 3-step chain of GRID_12:
+# spans, skipped and nodes per policy.
+STRATUM_3 = {
+    "iso-skip": (2117, 4124, 51083),
+    "iso-all": (6241, 0, 22690),
+    "full-skip": (8759, 4124, 587822),
+    "full-all": (12883, 0, 537898),
+}
+
+
+def _gather_by_calls(space, stratum, policy, *, max_nodes=None):
+    """``gather_spans`` with one public ``isometric_fillers`` search per
+    anchor: the reference for the per-isometry filler plan."""
+    budget = NodeBudget.of(max_nodes)
+    spans, skipped = [], 0
+    for h in stratum:
+        anchors = (isometry_set if policy.isometric_u else hom_set)(h.dom, space, max_nodes=budget)
+        identity_map = tuple(range(h.dom.n))
+        moves = [tau for tau in _span_dedup_group(h, budget) if tau != identity_map]
+        for u in anchors:
+            m = u.map
+            if moves and any(tuple(map(m.__getitem__, tau)) < m for tau in moves):
+                continue
+            if policy.skip_satisfied and isometric_fillers(h, u, first_only=True,
+                                                           max_nodes=budget):
+                skipped += 1
+                continue
+            spans.append(Span(u, h))
+    return tuple(spans), skipped
+
+
+def _outcome(gather, args, limit):
+    """A gather's result or budget error message, and the nodes it spent."""
+    budget = NodeBudget(limit)
+    try:
+        return gather(*args, max_nodes=budget), budget.used
+    except BudgetExceeded as e:
+        return str(e), budget.used
+
+
+@pytest.fixture(scope="module")
+def chain_12():
+    homsearch.clear_caches()
+    return build_chain(GRID_12, 3)
 
 
 class TestDistanceGrid:
@@ -390,6 +436,78 @@ class TestAudit:
         assert not report.ok
         missing = report.stages[0].missing
         assert any(w.h.dom.n == 1 and w.h.cod.n == 2 for w in missing)
+
+    def test_embedding_from_another_space_is_rejected(self):
+        catalog = catalog_isometries(enumerate_spaces(GRID_1), max_size=2)
+        gap = two_point(1)
+        stages = (ChainStage(0, one_point(), identity(gap), (), 0, 0, True),
+                  ChainStage(1, gap, None, (), 0, 1, True))
+        with pytest.raises(MismatchedEndpoints, match="must start at its stage"):
+            audit_saturation(stages, catalog)
+
+
+class TestFillerPlan:
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_gathers_agree_with_a_search_per_anchor(self, chain_12, policy):
+        stages, catalog = chain_12
+        args = (stages[-1].space, catalog.stratum(3), POLICIES[policy])
+        fast, slow = NodeBudget(), NodeBudget()
+        spans, skipped = gather_spans(*args, max_nodes=fast)
+        assert (spans, skipped) == _gather_by_calls(*args, max_nodes=slow)
+        assert (len(spans), skipped, fast.used) == STRATUM_3[policy]
+        assert slow.used == fast.used
+
+    def test_audit_charge_is_pinned(self, chain_12):
+        stages, catalog = chain_12
+        budget = NodeBudget()
+        report = audit_saturation(stages, catalog, max_nodes=budget)
+        assert report.ok
+        assert [a.checked for a in report.stages] == [2, 7, 111]
+        assert budget.used == 1532
+        with pytest.raises(BudgetExceeded, match="spent 1532 nodes, over the node budget of 1531"):
+            audit_saturation(stages, catalog, max_nodes=1531)
+
+    @pytest.mark.parametrize("policy", ["iso-skip", "full-skip"])
+    def test_single_gathers_stop_at_the_same_node(self, chain_12, policy):
+        # Every fifth stratum-3 isometry alone: the outcome at limits around
+        # the ends of its gather and two inside, against the per-anchor calls.
+        stages, catalog = chain_12
+        for index, h in enumerate(catalog.stratum(3)[::5]):
+            args = (stages[-1].space, (h,), POLICIES[policy])
+            expected = _outcome(_gather_by_calls, args, None)
+            assert _outcome(gather_spans, args, None) == expected
+            total = expected[1]
+            rng = random.Random(index)
+            inside = [rng.randrange(total) for _ in range(2)] if total else []
+            for limit in (-1, 0, 1, total - 1, *inside):
+                assert _outcome(gather_spans, args, limit) == _outcome(_gather_by_calls, args, limit)
+
+    def test_empty_y_has_the_empty_filler_for_free(self):
+        e = empty_space()
+        budget = NodeBudget(0)
+        for K in (e, two_point(1)):
+            assert list(_fillers(identity(e), K, budget)(())) == [()]
+        assert budget.used == 0
+        spans, skipped = gather_spans(two_point(1), (identity(e),), POLICIES["iso-skip"])
+        assert (spans, skipped) == ((), 1)
+
+    def test_empty_k_has_none(self):
+        budget = NodeBudget(0)
+        h = MetMap(empty_space(), one_point(), ())
+        assert list(_fillers(h, empty_space(), budget)(())) == []
+        assert budget.used == 0
+
+    def test_conflicting_pins_give_none(self):
+        # h sends both points of the gap to the one point of Y: pins that
+        # disagree there give nothing and charge nothing, pins that agree
+        # give the one filler.
+        h = MetMap(two_point(1), one_point(), (0, 0))
+        budget = NodeBudget()
+        fillers = _fillers(h, two_point(1), budget)
+        assert list(fillers((0, 1))) == []
+        assert budget.used == 0
+        assert list(fillers((1, 1))) == [(1,)]
+        assert isometric_fillers(h, MetMap(two_point(1), two_point(1), (0, 1))) == ()
 
 
 class TestRunDirectory:

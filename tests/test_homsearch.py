@@ -91,7 +91,8 @@ class TestSearchKernel:
             first_only = rng.random() < 0.3
 
             def fast(budget):
-                return homsearch._search(dom, cod, exact, budget, forced)
+                return homsearch._search(homsearch._required(dom, cod, exact), cod.balls(),
+                                         exact, budget.spend_each, forced)
 
             def brute(budget):
                 return search_brute(dom, cod, exact, budget, forced)
