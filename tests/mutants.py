@@ -3,15 +3,16 @@
 Each mutant replaces one exact snippet of a source file and names the test
 selection that must fail on the result.  The runner copies ``src/``,
 ``tests/`` and ``pyproject.toml`` into a temporary directory per mutant,
-applies the mutant there and runs its selection, one mutant at a time.  A
-mutant is killed when pytest exits 1 and its ``-rf`` summary names a
-failure other than a ``NameError``, ``ImportError`` or ``SyntaxError``: a
-replacement that breaks the code's names, imports or syntax fails every
-test and shows nothing, so it is reported as broken.  The runner exits 1
-when a mutant survives or is broken, or when a snippet does not occur
-exactly once in its file (a refactor must update the catalog on purpose),
-and 0 when every mutant not listed as equivalent is killed.  Equivalent
-mutants are checked to match, and are not run.
+applies the mutant there and runs its selection, ``WORKERS`` mutants at a
+time; it prints the results in catalog order.  A mutant is killed when
+pytest exits 1 and its ``-rf`` summary names a failure other than a
+``NameError``, ``ImportError`` or ``SyntaxError``: a replacement that
+breaks the code's names, imports or syntax fails every test and shows
+nothing, so it is reported as broken.  The runner exits 1 when a mutant
+survives or is broken, or when a snippet does not occur exactly once in its
+file (a refactor must update the catalog on purpose), and 0 when every
+mutant not listed as equivalent is killed.  Equivalent mutants are checked
+to match, and are not run.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # the named ones
@@ -25,9 +26,11 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKERS = 2   # mutants checked at once, each in its own pytest process
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,10 @@ CLOSURE_BRUTE = "tests/test_reflect.py::TestClosureOracle"
 BUDGETS = "src/metricat/budgets.py"
 FRAISSE = "src/metricat/fraisse.py"
 PLAN_TESTS = "tests/test_fraisse.py::TestFillerPlan"
+VERIFY = "src/metricat/verify.py"
+VERIFY_TESTS = "tests/test_colimits.py::TestVerify"
+VERIFY_BRUTE = "tests/test_colimits.py::TestVerifyMatchesBrute"
+VERIFY_NODES = "tests/test_colimits.py::TestVerifyNodeCharges"
 # Exceptions (and their subclasses) that a broken replacement raises.
 BROKEN_BY = frozenset({"NameError", "UnboundLocalError", "ImportError", "ModuleNotFoundError",
                        "SyntaxError", "IndentationError", "TabError"})
@@ -154,6 +161,47 @@ MUTANTS = (
            "next(fillers(tuple(map(k.map.__getitem__, u.map))), None) is None",
            "not next(fillers(tuple(map(k.map.__getitem__, u.map))), None)",
            (f"{PLAN_TESTS}::test_audit_charge_is_pinned",)),
+    Mutant("verify-eps-rank-off-by-one", VERIFY,
+           "e = bisect_right(values, eps) - 1",
+           "e = bisect_right(values, eps)",
+           (VERIFY_TESTS,)),
+    Mutant("verify-pin-ranks-off-by-one", VERIFY,
+           "to = [bisect_right(values, v) - 1 for v in apex.values]",
+           "to = [bisect_right(values, v) for v in apex.values]",
+           (VERIFY_TESTS,)),
+    Mutant("verify-no-duplicate-pins", VERIFY,
+           "pins = [(first[p], k, 0) for k, p in enumerate(flat) if first[p] != k]",
+           "pins = []",
+           (VERIFY_BRUTE,)),
+    Mutant("verify-no-empty-target-rule", VERIFY,
+           "meds = join.walk(0, bool(a.free) and not target.n)",
+           "meds = join.walk(0, False)",
+           equivalent="into an empty target the search over a free apex point yields no "
+                      "mediator and charges nothing, so the cocone fails existence either way"),
+    Mutant("verify-bulk-charge-off-by-one", VERIFY,
+           "(2 << stop) - 1",
+           "(1 << stop) - 1",
+           (VERIFY_NODES,)),
+    Mutant("verify-mediators-truncated", VERIFY,
+           "for arr in (*first_two, *found))",
+           "for arr in first_two)",
+           (f"{VERIFY_BRUTE}::test_node_charge_with_free_apex_points",)),
+    Mutant("verify-square-check-inclusive", VERIFY,
+           "default=ZERO) > eps:",
+           "default=ZERO) >= eps:",
+           (VERIFY_TESTS, VERIFY_BRUTE)),
+    Mutant("verify-failing-prefix-forgotten", VERIFY,
+           "meds = self.walk(k + 1, not ok & low)",
+           "meds = self.walk(k + 1, False)",
+           (VERIFY_BRUTE,)),
+    Mutant("verify-bridges-back-ignored", VERIFY,
+           "            adm &= near[v[a]]\n",
+           "            pass\n",
+           (VERIFY_TESTS,)),
+    Mutant("verify-pins-a-position-to-itself", VERIFY,
+           " for k, p in enumerate(flat) if first[p] != k]",
+           " for k, p in enumerate(flat)]",
+           equivalent="a pin of a position to itself at rank 0 admits every map"),
     Mutant("closest-ties-on-the-running-max", INJ,
            "            if x > d:\n                d = x\n        if d < best:\n",
            "            if x >= d:\n                d = x\n        if d < best:\n",
@@ -217,6 +265,15 @@ def check(mutant: Mutant) -> str:
         return outcome(*_pytest(tmp, mutant.selection))
 
 
+def _timed(mutant: Mutant) -> tuple[str, float]:
+    started = time.monotonic()
+    try:
+        result = check(mutant)
+    except LookupError as exc:
+        result = f"error: {exc}"
+    return result, time.monotonic() - started
+
+
 def main(names) -> int:
     unknown = set(names) - {m.name for m in MUTANTS}
     if unknown:
@@ -230,14 +287,10 @@ def main(names) -> int:
             print("the selections fail on the unmutated tree")
             return 1
     bad = 0
-    for mutant in chosen:
-        started = time.monotonic()
-        try:
-            result = check(mutant)
-        except LookupError as exc:
-            result = f"error: {exc}"
-        bad += result not in ("killed", "equivalent")
-        print(f"{mutant.name}: {result} ({time.monotonic() - started:.1f} s)", flush=True)
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        for mutant, (result, seconds) in zip(chosen, pool.map(_timed, chosen)):
+            bad += result not in ("killed", "equivalent")
+            print(f"{mutant.name}: {result} ({seconds:.1f} s)", flush=True)
     print(f"{len(chosen)} mutants, {bad} not killed")
     return 1 if bad else 0
 
