@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .colimits import FinDiagram
 from .extrat import INF, ZERO, ExtRat, rat
-from .homsearch import hom_set
+from .homsearch import _homs
 from .reflect import Semimetric
 from .spaces import MetMap, Space, identity, one_point, validate_space
 from .errors import SpaceValidationError
@@ -83,10 +83,10 @@ def random_semimetric(rng: random.Random, n: int, values) -> Semimetric:
 
 
 def random_map(rng: random.Random, dom: Space, cod: Space) -> MetMap | None:
-    maps = hom_set(dom, cod)
+    maps = _homs(dom, cod)
     if not maps:
         return None
-    return maps[rng.randrange(len(maps))]
+    return MetMap._trusted(dom, cod, maps[rng.randrange(len(maps))])
 
 
 def random_span(rng: random.Random, cfg: CorpusConfig = CorpusConfig()):
@@ -107,11 +107,11 @@ def random_parallel_pair(rng: random.Random, cfg: CorpusConfig = CorpusConfig())
     for _ in range(100):
         A = random_space(rng, cfg)
         B = random_space(rng, cfg)
-        maps = hom_set(A, B)
+        maps = _homs(A, B)
         if maps:
             f = maps[rng.randrange(len(maps))]
             g = maps[rng.randrange(len(maps))]
-            return f, g
+            return MetMap._trusted(A, B, f), MetMap._trusted(A, B, g)
     p = one_point()
     return identity(p), identity(p)
 
@@ -143,7 +143,7 @@ def random_split_mono(rng: random.Random, cfg: CorpusConfig = CorpusConfig()):
         k = rng.randint(1, L.n)
         pts = tuple(sorted(rng.sample(range(L.n), k)))
         K, incl = subspace(L, pts)
-        for p in hom_set(L, K):
-            if incl.then(p).map == identity(K).map:
-                return incl, p
+        for p in _homs(L, K):
+            if tuple(p[i] for i in incl.map) == tuple(range(K.n)):
+                return incl, MetMap._trusted(L, K, p)
     return None

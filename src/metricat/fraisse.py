@@ -21,7 +21,7 @@ from .colimits import Presentation
 from .errors import (BudgetExceeded, MetricatError, MismatchedEndpoints,
                      SpaceValidationError, UsageError)
 from .extrat import ZERO, ExtRat, rat
-from .homsearch import _fillers, automorphisms, clear_caches, hom_set, isometry_set
+from .homsearch import _fillers, _homs, clear_caches
 from .spaces import MetMap, Space, empty_space, identity, is_isometry
 
 
@@ -97,12 +97,12 @@ def catalog_isometries(spaces, *, max_size: int | None = None,
         for Y in spaces:
             if X.n > Y.n:
                 continue
-            auts = automorphisms(Y, max_nodes=budget)
+            auts = _homs(Y, Y, budget, True)
             # Isometries arrive in lexicographic order: h is kept exactly
             # when no a∘h sorts before it, as its orbit's least member.
             isometries.extend(
-                h for h in isometry_set(X, Y, max_nodes=budget)
-                if all(tuple(map(a.map.__getitem__, h.map)) >= h.map for a in auts))
+                MetMap._trusted(X, Y, h) for h in _homs(X, Y, budget, True)
+                if all(tuple(map(a.__getitem__, h)) >= h for a in auts))
     return IsometryCatalog(spaces, tuple(isometries), cap)
 
 
@@ -190,7 +190,9 @@ def chain_step(space: Space, spans, *, max_points: int | None = None):
         raise MetricatError("stage embedding failed to be an isometry")
     records = []
     for s, copy in zip(spans, copies):
-        if s.h.then(copy).map != s.u.then(k).map:
+        if s.u.cod != space:
+            raise MismatchedEndpoints("span anchors must map into the stage")
+        if [copy.map[y] for y in s.h.map] != [k.map[x] for x in s.u.map]:
             raise MetricatError("span gluing failed to commute")
         records.append(SpanRecord(s, copy))
     return apex, k, tuple(records)
@@ -198,12 +200,9 @@ def chain_step(space: Space, spans, *, max_points: int | None = None):
 
 def _span_dedup_group(h: MetMap, budget: NodeBudget) -> tuple[tuple[int, ...], ...]:
     """Domain automorphisms tau with h∘tau equal to some aut of cod ∘ h."""
-    cod_orbit = {tuple(a.map[p] for p in h.map) for a in automorphisms(h.cod, max_nodes=budget)}
-    group = []
-    for tau in automorphisms(h.dom, max_nodes=budget):
-        if tuple(h.map[p] for p in tau.map) in cod_orbit:
-            group.append(tuple(tau.map))
-    return tuple(group)
+    cod_orbit = {tuple(a[p] for p in h.map) for a in _homs(h.cod, h.cod, budget, True)}
+    return tuple(tau for tau in _homs(h.dom, h.dom, budget, True)
+                 if tuple(h.map[p] for p in tau) in cod_orbit)
 
 
 def gather_spans(space: Space, stratum, policy: SpanPolicy,
@@ -225,18 +224,17 @@ def gather_spans(space: Space, stratum, policy: SpanPolicy,
     skipped = 0
     for h in stratum:
         X = h.dom
-        anchors = (isometry_set if policy.isometric_u else hom_set)(X, space, max_nodes=budget)
+        anchors = _homs(X, space, budget, policy.isometric_u)
         identity_map = tuple(range(X.n))
         moves = [tau for tau in _span_dedup_group(h, budget) if tau != identity_map]
         fillers = _fillers(h, space, budget)
-        for u in anchors:
-            m = u.map
+        for m in anchors:
             if moves and any(tuple(map(m.__getitem__, tau)) < m for tau in moves):
                 continue
             if policy.skip_satisfied and next(fillers(m), None) is not None:
                 skipped += 1
                 continue
-            spans.append(Span(u, h))
+            spans.append(Span(MetMap._trusted(X, space, m), h))
             if max_spans is not None and len(spans) > max_spans:
                 raise BudgetExceeded(
                     f"gathered {len(spans)} spans (budget {max_spans})"
@@ -320,9 +318,9 @@ def audit_saturation(stages, catalog: IsometryCatalog,
         missing = []
         for h in catalog.stratum(stage.stratum):
             fillers = _fillers(h, k.cod, budget)
-            for u in isometry_set(h.dom, stage.space, max_nodes=budget):
+            for u in _homs(h.dom, stage.space, budget, True):
                 checked += 1
-                if next(fillers(tuple(map(k.map.__getitem__, u.map))), None) is None:
-                    missing.append(AuditWitness(n, h, u))
+                if next(fillers(tuple(map(k.map.__getitem__, u))), None) is None:
+                    missing.append(AuditWitness(n, h, MetMap._trusted(h.dom, stage.space, u)))
         out.append(StageAudit(n, checked, tuple(missing)))
     return AuditReport(tuple(out), not any(a.missing for a in out))

@@ -16,14 +16,16 @@ required rank.  Accepted candidates are visited lowest bit first.  Each
 candidate tried costs one budget node: before a descent or a yield the
 kernel charges the tried candidates up to the accepted one, and on leaving
 a level the rest, so a budget runs out at the same node as a test of every
-candidate in turn would.  A cached hom-set or isometry set keeps the
-nodes its search spent and a cache hit charges them again, so a budget's
-outcome does not depend on the cache; each cache is a ``budgets.Memo`` of
-at most ``budgets.CACHE_ENTRIES`` entries, and ``clear_caches`` empties
-every such memo.  Filler searches are not cached: ``_fillers`` resolves a
-search into K along h once (rank translation, balls, forced positions and
-charge), and the chain builder and the saturation audit run that plan for
-every map pinned into K.
+candidate in turn would.  Every hom-set and isometry set comes from
+``_homs``: the maps' index tuples, memoized with the nodes the search spent
+in one ``budgets.Memo`` of at most ``budgets.CACHE_ENTRIES`` entries, keyed
+by (dom, cod, exact).  A hit charges those nodes again, so a budget's
+outcome does not depend on the memo; ``clear_caches`` empties every memo.
+The library reads the tuples, and the public ``hom_set``, ``isometry_set``
+and ``automorphisms`` build one ``MetMap`` per tuple.  Filler searches are
+not cached: ``_fillers`` resolves a search into K along h once (rank
+translation, balls, forced positions and charge), and the chain builder and
+the saturation audit run that plan for every map pinned into K.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from .budgets import Memo, NodeBudget, clear_memos
 from .errors import InvalidMorphism
 from .spaces import MetMap, Space
 
-_hom_cache = Memo()
-_iso_cache = Memo()
+_memo = Memo()
 
 
 def clear_caches() -> None:
@@ -114,25 +115,24 @@ def _search(req, balls, exact: bool, spend, forced=None):
         i += 1
 
 
-def _wrap(dom: Space, cod: Space, tuples) -> tuple[MetMap, ...]:
-    return tuple(MetMap._trusted(dom, cod, t) for t in tuples)
-
-
-def _enumerate(cache: Memo, dom: Space, cod: Space, exact: bool,
-               max_nodes: int | NodeBudget | None) -> tuple[MetMap, ...]:
-    budget = NodeBudget.of(max_nodes)
-    return budget.cached(cache, (dom, cod), lambda: _wrap(dom, cod, _search(
+def _homs(dom: Space, cod: Space, budget: NodeBudget | None = None,
+          exact: bool = False) -> tuple[tuple[int, ...], ...]:
+    """Index tuples of the maps dom -> cod, distance-preserving if ``exact``, in
+    lexicographic order and charged to ``budget`` (a fresh default if None)."""
+    budget = budget or NodeBudget()
+    return budget.cached(_memo, (dom, cod, exact), lambda: tuple(_search(
         _required(dom, cod, exact), cod.balls(), exact, budget.spend_each)))
 
 
 def hom_set(dom: Space, cod: Space, *, max_nodes: int | None = None) -> tuple[MetMap, ...]:
     """All non-expansive maps dom -> cod, lexicographically ordered."""
-    return _enumerate(_hom_cache, dom, cod, False, max_nodes)
+    return tuple(MetMap._trusted(dom, cod, t) for t in _homs(dom, cod, NodeBudget.of(max_nodes)))
 
 
 def isometry_set(dom: Space, cod: Space, *, max_nodes: int | None = None) -> tuple[MetMap, ...]:
     """All distance-preserving maps dom -> cod, lexicographically ordered."""
-    return _enumerate(_iso_cache, dom, cod, True, max_nodes)
+    return tuple(MetMap._trusted(dom, cod, t)
+                 for t in _homs(dom, cod, NodeBudget.of(max_nodes), True))
 
 
 def automorphisms(space: Space, *, max_nodes: int | None = None) -> tuple[MetMap, ...]:
@@ -172,4 +172,5 @@ def isometric_fillers(
     if h.dom != pinned.dom:
         raise InvalidMorphism("filler search needs a shared domain")
     found = _fillers(h, pinned.cod, NodeBudget.of(max_nodes))(pinned.map)
-    return _wrap(h.cod, pinned.cod, islice(found, 1 if first_only else None))
+    return tuple(MetMap._trusted(h.cod, pinned.cod, t)
+                 for t in islice(found, 1 if first_only else None))

@@ -1,8 +1,8 @@
 """Approximate injectivity, splitness, monomorphism and purity testers.
 
-All testers quantify exactly as the definitions state, over the relevant
-hom-sets (cached), and return a witness for every negative verdict so
-failures replay as standalone fixtures.
+All testers quantify exactly as the definitions state, over the index
+tuples of the relevant hom-sets (memoized), and return a witness for every
+negative verdict so failures replay as standalone fixtures.
 
 The loops compare integer ranks, never ExtRat values.  Each call reads the
 cached rank tables of the spaces it measures in (``Space.ranks``) and turns
@@ -46,7 +46,7 @@ from .budgets import Memo, NodeBudget
 from .canonical import canonical_form
 from .errors import UsageError
 from .extrat import INF, ZERO, ExtRat, rat
-from .homsearch import hom_set
+from .homsearch import _homs
 from .spaces import MetMap, Space, subspace
 
 
@@ -100,8 +100,8 @@ def injectivity_defect(subject: Space, f: MetMap, *, max_nodes: int | None = Non
     at every positive tolerance at once.
     """
     budget = NodeBudget.of(max_nodes)
-    return _defect(subject, f, hom_set(f.dom, subject, max_nodes=budget),
-                   hom_set(f.cod, subject, max_nodes=budget), budget)
+    return _defect(subject, f, _homs(f.dom, subject, budget),
+                   _homs(f.cod, subject, budget), budget)
 
 
 def _closest(maps, pairs, rank, bound: int):
@@ -112,10 +112,9 @@ def _closest(maps, pairs, rank, bound: int):
     len(maps)) when no map lies below ``bound``."""
     best, closest, tried = bound, None, 0
     for tried, m in enumerate(maps, 1):
-        mm = m.map
         d = 0
         for row, b in pairs:
-            x = rank[row + mm[b]]
+            x = rank[row + m[b]]
             if x > d:
                 d = x
         if d < best:
@@ -126,7 +125,7 @@ def _closest(maps, pairs, rank, bound: int):
 
 
 def _defect(subject: Space, f: MetMap, homA, homB, budget: NodeBudget):
-    """``injectivity_defect`` over the fetched hom-sets A -> K and B -> K."""
+    """``injectivity_defect`` over the index tuples of hom(A, K) and hom(B, K)."""
     values, rank = _scale(subject)
     if values[-1] != INF:
         values += (INF,)
@@ -135,23 +134,25 @@ def _defect(subject: Space, f: MetMap, homA, homB, budget: NodeBudget):
     worst, worst_g, best_h = 0, None, None
     for g in homA:
         # d(h(f(a)), g(a)) is read from row g(a) of the symmetric rank table
-        best, h, tried = _closest(homB, tuple((q * n, p) for q, p in zip(g.map, f.map)),
+        best, h, tried = _closest(homB, tuple((q * n, p) for q, p in zip(g, f.map)),
                                   rank, top)
         budget.spend_each(tried)
         if best > worst:
             worst, worst_g, best_h = best, g, h
-    return values[worst], worst_g, best_h
+    # the empty map is an index tuple too, so test for None
+    return (values[worst], None if worst_g is None else MetMap._trusted(f.dom, subject, worst_g),
+            None if best_h is None else MetMap._trusted(f.cod, subject, best_h))
 
 
 def is_eps_injective(subject: Space, f: MetMap, eps, *, max_nodes: int | None = None):
     """(verdict, witness): witness is the unfillable g on failure."""
     e = rat(eps)
     budget = NodeBudget.of(max_nodes)
-    homA = hom_set(f.dom, subject, max_nodes=budget)
-    homB = hom_set(f.cod, subject, max_nodes=budget)
+    homA = _homs(f.dom, subject, budget)
+    homB = _homs(f.cod, subject, budget)
     if homA and not homB:
         # no filler exists at all, not even at infinite tolerance
-        return False, homA[0]
+        return False, MetMap._trusted(f.dom, subject, homA[0])
     defect, worst_g, _ = _defect(subject, f, homA, homB, budget)
     if defect <= e:
         return True, None
@@ -217,12 +218,12 @@ def is_eps_split(f: MetMap, eps, *, max_nodes: int | None = None):
     values, rank = _scale(K)
     budget = NodeBudget.of(max_nodes)
     # d(p(f(k)), k) is read from row k of K's rank table; every p counts
-    best, p, tried = _closest(hom_set(f.cod, K, max_nodes=budget),
+    best, p, tried = _closest(_homs(f.cod, K, budget),
                               tuple((k * K.n, q) for k, q in enumerate(f.map)),
                               rank, len(values))
     budget.spend_each(tried)
     if best <= _within(values, e):
-        return True, p
+        return True, MetMap._trusted(f.cod, K, p)
     return False, None
 
 
@@ -236,19 +237,18 @@ def is_eps_mono(f: MetMap, eps, family: TestFamily | None = None,
     limit = _within(values, e)
     n = f.dom.n
     for C in fam.spaces:
-        maps = hom_set(C, f.dom, max_nodes=budget)
-        groups: dict[tuple[int, ...], list[MetMap]] = {}
-        for g in maps:
-            key = tuple(f.map[p] for p in g.map)
-            groups.setdefault(key, []).append(g)
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for g in _homs(C, f.dom, budget):
+            groups.setdefault(tuple(f.map[p] for p in g), []).append(g)
         tried = 0
         for members in groups.values():
             for g, h in combinations(members, 2):
                 tried += 1
-                for p, q in zip(g.map, h.map):
+                for p, q in zip(g, h):
                     if rank[p * n + q] > limit:
                         budget.spend_each(tried)
-                        return False, (C, g, h)
+                        return False, (C, MetMap._trusted(C, f.dom, g),
+                                       MetMap._trusted(C, f.dom, h))
         budget.spend_each(tried)
     return True, None
 
@@ -296,22 +296,22 @@ def purity(f: MetMap, eps, variant: PurityVariant = "pure",
 def _near(maps, reach, n: int):
     """Per point a of the probe, per point y of a space of n points: the
     bitmask of the maps u (bit j for the j-th) with y in ``reach[u(a)]``."""
-    near = [[0] * n for _ in maps[0].map]
+    near = [[0] * n for _ in maps[0]]
     for j, u in enumerate(maps):
         bit = 1 << j
-        for row, p in zip(near, u.map):
+        for row, p in zip(near, u):
             for y in reach[p]:
                 row[y] |= bit
     return near
 
 
 def _sweep(maps, pairs, want: int):
-    """Walk the numbered ``maps`` in order and give each u of ``want`` to
-    the first map m that has, for every (row, b) of ``pairs``, u in
+    """Walk ``maps`` in order, numbered from 1, and give each u of ``want``
+    to the first map m that has, for every (row, b) of ``pairs``, u in
     ``row[m(b)]``.  Returns the mask of the u given a map, and the sum of
     their maps' numbers."""
     covered = charge = 0
-    for i, m in maps:
+    for i, m in enumerate(maps, 1):
         mask = want ^ covered
         if not mask:
             break
@@ -335,7 +335,7 @@ def _purity(f: MetMap, limit: int, bound: int, spaces, budget: NodeBudget):
     to_k = [[y for y in range(nK) if krank[p * nK + y] <= bound] for p in range(nK)]
     # Each hom-set once per call, charged once.  The keys are these very
     # spaces, so a lookup never compares equal spaces entry by entry.
-    hom = cache(lambda dom, cod: hom_set(dom, cod, max_nodes=budget))
+    hom = cache(lambda dom, cod: _homs(dom, cod, budget))
 
     for A in spaces:
         homAK = hom(A, K)
@@ -348,31 +348,30 @@ def _purity(f: MetMap, limit: int, bound: int, spaces, budget: NodeBudget):
             homAB = hom(A, B)
             homBL = hom(B, L)
             homBK = hom(B, K)
-            # the candidate maps numbered from 1
-            vs = [(i, v.map) for i, v in enumerate(homBL, 1)]
-            ts = [(i, t.map) for i, t in enumerate(homBK, 1)]
             for g in homAB:
-                on_l = tuple(zip(near_l, g.map))
-                on_k = tuple(zip(near_k, g.map))
-                admitted, charge = _sweep(vs, on_l, every)
-                filled, filling = _sweep(ts, on_k, admitted)
+                on_l = tuple(zip(near_l, g))
+                on_k = tuple(zip(near_k, g))
+                admitted, charge = _sweep(homBL, on_l, every)
+                filled, filling = _sweep(homBK, on_k, admitted)
                 failing = admitted ^ filled
                 if not failing:
                     budget.spend_each(charge + filling
-                                      + len(vs) * (every ^ admitted).bit_count())
+                                      + len(homBL) * (every ^ admitted).bit_count())
                     continue
                 # The first failing u: charge the u below it and its own
                 # first admitting v and every t.
                 low = failing & -failing
-                below, charge = _sweep(vs, on_l, low - 1)
-                _, filling = _sweep(ts, on_k, below)
-                _, admitting = _sweep(vs, on_l, low)
-                budget.spend_each(charge + filling + admitting + len(ts)
-                                  + len(vs) * ((low - 1) ^ below).bit_count())
+                below, charge = _sweep(homBL, on_l, low - 1)
+                _, filling = _sweep(homBK, on_k, below)
+                _, admitting = _sweep(homBL, on_l, low)
+                budget.spend_each(charge + filling + admitting + len(homBK)
+                                  + len(homBL) * ((low - 1) ^ below).bit_count())
                 u = homAK[low.bit_length() - 1]
                 # no t at all fails the square even at infinite tolerance
-                best, t, _ = _closest(homBK, tuple((p * nK, b) for p, b in zip(u.map, g.map)),
+                best, t, _ = _closest(homBK, tuple((p * nK, b) for p, b in zip(u, g)),
                                       krank, len(kvalues))
-                return False, PuritySquare(A, B, u, g, homBL[admitting - 1],
-                                           INF if t is None else kvalues[best])
+                return False, PuritySquare(
+                    A, B, MetMap._trusted(A, K, u), MetMap._trusted(A, B, g),
+                    MetMap._trusted(B, L, homBL[admitting - 1]),
+                    INF if t is None else kvalues[best])
     return True, None

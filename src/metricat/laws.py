@@ -25,10 +25,10 @@ from typing import Any, Callable
 from .colimits import eps_pushout
 from .corpus import CorpusConfig, random_space, random_split_mono
 from .extrat import INF, ZERO, ExtRat, rat
-from .homsearch import hom_set
+from .homsearch import _homs
 from .injectivity import TestFamily, is_eps_injective, is_eps_mono, is_eps_split, purity
 from .spaces import (
-    MetMap, Space, hom_dist, identity, one_point, product, validate_space,
+    MetMap, Space, identity, one_point, product, validate_space,
 )
 from .serialization import map_to_json, space_to_json
 
@@ -57,13 +57,15 @@ def _draw_family(rng: random.Random) -> TestFamily:
 
 
 def _draw_map(rng: random.Random, dom: Space, cod: Space) -> MetMap:
-    maps = hom_set(dom, cod)
-    return maps[rng.randrange(len(maps))]
+    maps = _homs(dom, cod)
+    return MetMap._trusted(dom, cod, maps[rng.randrange(len(maps))])
 
 
-def _draw_near(rng: random.Random, maps, center: MetMap, e: ExtRat) -> MetMap:
-    near = [m for m in maps if hom_dist(center, m) <= e]
-    return near[rng.randrange(len(near))]
+def _draw_near(rng: random.Random, center: MetMap, e: ExtRat) -> MetMap:
+    """A map parallel to ``center`` within ``e`` of it."""
+    dom, cod, dist = center.dom, center.cod, center.cod.dist
+    near = [m for m in _homs(dom, cod) if all(dist[p][q] <= e for p, q in zip(center.map, m))]
+    return MetMap._trusted(dom, cod, near[rng.randrange(len(near))])
 
 
 def _draw_composable(rng: random.Random) -> tuple[MetMap, MetMap]:
@@ -190,14 +192,13 @@ def _triple_case(rng: random.Random) -> Case:
 
 def _nearby_case(rng: random.Random) -> Case:
     e, family = _draw_eps(rng), _draw_family(rng)
-    maps = hom_set(random_space(rng, _SMALL), random_space(rng, _SMALL))
-    f = maps[rng.randrange(len(maps))]
-    return {"f": f, "nearby": _draw_near(rng, maps, f, e), "eps": e, "family": family}
+    f = _draw_map(rng, random_space(rng, _SMALL), random_space(rng, _SMALL))
+    return {"f": f, "nearby": _draw_near(rng, f, e), "eps": e, "family": family}
 
 
 def _near_factor_case(rng: random.Random) -> Case:
     f, g, e, family = _pair_case(rng).values()
-    h = _draw_near(rng, hom_set(f.dom, g.cod), f.then(g), e)
+    h = _draw_near(rng, f.then(g), e)
     return {"f": f, "g": g, "h": h, "eps": e, "family": family}
 
 
@@ -287,12 +288,12 @@ def _law_inf_injectivity_via_hom_emptiness(rng: random.Random) -> Outcome:
     K = random_space(rng, cfg)
     A = random_space(rng, cfg)
     B = random_space(rng, cfg)
-    maps = hom_set(A, B)
+    maps = _homs(A, B)
     if not maps:
         return VACUOUS, None
-    f = maps[rng.randrange(len(maps))]
+    f = MetMap._trusted(A, B, maps[rng.randrange(len(maps))])
     tester = is_eps_injective(K, f, INF)[0]
-    direct = (len(hom_set(A, K)) == 0) or (len(hom_set(B, K)) > 0)
+    direct = (len(_homs(A, K)) == 0) or (len(_homs(B, K)) > 0)
     if tester == direct:
         return HELD, None
     return FAILED, _ce(subject=K, f=f, tester=tester, direct=direct)

@@ -57,7 +57,7 @@ from .colimits import (
 )
 from .errors import MismatchedEndpoints
 from .extrat import ZERO, ExtRat
-from .homsearch import _required, _search, hom_set
+from .homsearch import _homs, _required, _search
 from .spaces import MetMap, Space
 
 
@@ -142,8 +142,8 @@ class _Near(dict):
 
 
 class _Leg:
-    """The maps of one object into T as bitmasks, bit q standing for
-    ``homs[q]``, with the tests (a, b, rank bound) whose later position b
+    """The maps of one object into T as bitmasks, bit q standing for the
+    index tuple ``maps[q]``, with the tests (a, b, rank bound) whose later position b
     lies on the leg, cone positions ``start`` to ``end``: ``tests[0]`` the
     bridges, ``tests[1]`` the pins.  The tests inside the leg make the masks
     ``adm`` and ``ok`` once.  Those that reach back to a position a of an
@@ -151,11 +151,10 @@ class _Leg:
     per a, with ``near`` indexed by a's image.  There are tests only when T
     has two points or more, so then every hom-set has a map."""
 
-    __slots__ = ("homs", "maps", "span", "adm", "ok", "cross_adm", "cross_ok")
+    __slots__ = ("maps", "span", "adm", "ok", "cross_adm", "cross_ok")
 
-    def __init__(self, homs, start: int, end: int, tests, rank, m: int):
-        self.homs, self.span = homs, slice(start, end)
-        self.maps = maps = [h.map for h in homs]
+    def __init__(self, maps, start: int, end: int, tests, rank, m: int):
+        self.maps, self.span = maps, slice(start, end)
         columns = []
         if any(tests):
             for image in zip(*maps):
@@ -186,12 +185,13 @@ class _Leg:
 
 
 class _Join:
-    """The cocones into one target T, checked leg by leg; ``v`` holds the
-    flat cone of the maps picked so far."""
+    """The cocones from the pieces into one target T, checked leg by leg;
+    ``v`` holds the flat cone of the maps picked so far."""
 
-    __slots__ = ("target", "apex", "legs", "budget", "v", "picks", "checked")
+    __slots__ = ("target", "pieces", "apex", "legs", "budget", "v", "picks", "checked")
 
-    def __init__(self, target: Space, homs, apex: _Apex, eps: ExtRat, budget: NodeBudget):
+    def __init__(self, target: Space, pieces, apex: _Apex, eps: ExtRat, budget: NodeBudget):
+        homs = [_homs(o, target, budget) for o in pieces]
         values, rank = target.ranks()
         m, top = target.n, len(values) - 1
         # A test at the top rank always holds, so T needs two points for any.
@@ -205,13 +205,14 @@ class _Join:
         starts = apex.starts
         self.legs = [_Leg(h, starts[k], starts[k + 1], tests[k], rank, m)
                      for k, h in enumerate(homs)]
-        self.target, self.apex, self.budget = target, apex, budget
+        self.target, self.pieces, self.apex, self.budget = target, pieces, apex, budget
         self.v = [0] * starts[-1]
         self.picks = [0] * len(homs)
         self.checked = 0
 
     def cone(self) -> tuple[MetMap, ...]:
-        return tuple(leg.homs[q] for leg, q in zip(self.legs, self.picks))
+        return tuple(MetMap._trusted(o, self.target, leg.maps[q])
+                     for o, leg, q in zip(self.pieces, self.legs, self.picks))
 
     def _check(self, cocones: int) -> None:
         self.checked += cocones
@@ -285,8 +286,7 @@ def _verify(p: Presentation, apex: Space, legs, eps: ExtRat, targets,
     a = _Apex(apex, maps, p.bridges)
     checked = 0
     for target in targets:
-        homs = [hom_set(o, target, max_nodes=budget) for o in p.pieces]
-        join = _Join(target, homs, a, eps, budget)
+        join = _Join(target, p.pieces, a, eps, budget)
         # A free apex point has no image in an empty target.
         meds = join.walk(0, bool(a.free) and not target.n)
         checked += join.checked

@@ -58,6 +58,7 @@ VERIFY = "src/metricat/verify.py"
 VERIFY_TESTS = "tests/test_colimits.py::TestVerify"
 VERIFY_BRUTE = "tests/test_colimits.py::TestVerifyMatchesBrute"
 VERIFY_NODES = "tests/test_colimits.py::TestVerifyNodeCharges"
+BOUNDARY = "tests/test_boundary.py::test_maps_leaving_the_library_are_valid"
 # Exceptions (and their subclasses) that a broken replacement raises.
 BROKEN_BY = frozenset({"NameError", "UnboundLocalError", "ImportError", "ModuleNotFoundError",
                        "SyntaxError", "IndentationError", "TabError"})
@@ -142,7 +143,7 @@ MUTANTS = (
             "tests/test_homsearch.py::TestHomSet::"
             "test_cache_is_bounded_and_an_evicted_entry_charges_the_same")),
     Mutant("catalog-keeps-every-isometry", FRAISSE,
-           ">= h.map for a in auts",
+           ">= h for a in auts",
            ">= () for a in auts",
            ("tests/test_fraisse.py::TestCatalog",)),
     Mutant("plan-no-conflict-check", KERNEL,
@@ -158,8 +159,8 @@ MUTANTS = (
            "next(fillers(m), None)",
            (f"{PLAN_TESTS}::test_gathers_agree_with_a_search_per_anchor",)),
     Mutant("audit-empty-filler-absent", FRAISSE,
-           "next(fillers(tuple(map(k.map.__getitem__, u.map))), None) is None",
-           "not next(fillers(tuple(map(k.map.__getitem__, u.map))), None)",
+           "next(fillers(tuple(map(k.map.__getitem__, u))), None) is None",
+           "not next(fillers(tuple(map(k.map.__getitem__, u))), None)",
            (f"{PLAN_TESTS}::test_audit_charge_is_pinned",)),
     Mutant("verify-eps-rank-off-by-one", VERIFY,
            "e = bisect_right(values, eps) - 1",
@@ -202,6 +203,18 @@ MUTANTS = (
            " for k, p in enumerate(flat) if first[p] != k]",
            " for k, p in enumerate(flat)]",
            equivalent="a pin of a position to itself at rank 0 admits every map"),
+    Mutant("boundary-retraction-reversed", INJ,
+           "return True, MetMap._trusted(f.cod, K, p)",
+           "return True, MetMap._trusted(K, f.cod, p)",
+           (f"{BOUNDARY}[is_eps_split]",)),
+    Mutant("boundary-purity-v-into-the-domain", INJ,
+           "MetMap._trusted(B, L, homBL[admitting - 1])",
+           "MetMap._trusted(B, K, homBL[admitting - 1])",
+           (f"{BOUNDARY}[purity]",)),
+    Mutant("boundary-audit-witness-into-the-next-stage", FRAISSE,
+           "MetMap._trusted(h.dom, stage.space, u)",
+           "MetMap._trusted(h.dom, k.cod, u)",
+           (f"{BOUNDARY}[audit_saturation]",)),
     Mutant("closest-ties-on-the-running-max", INJ,
            "            if x > d:\n                d = x\n        if d < best:\n",
            "            if x >= d:\n                d = x\n        if d < best:\n",

@@ -228,6 +228,12 @@ class TestChainStep:
         copy = records[0].copy
         assert span.h.then(copy).map == span.u.then(k).map
 
+    def test_an_anchor_into_another_space_is_rejected(self):
+        p = one_point()
+        span = Span(MetMap(p, two_point(1), (0,)), MetMap(p, two_point(1), (0,)))
+        with pytest.raises(MismatchedEndpoints):
+            chain_step(p, (span,))
+
     def test_point_budget_enforced(self):
         h = MetMap(empty_space(), two_point(1), ())
         u = MetMap(empty_space(), one_point(), ())

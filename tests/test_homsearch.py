@@ -162,7 +162,9 @@ class TestHomSet:
         big = validate_space([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
         clear_caches()
         maps = hom_set(big, big, max_nodes=10**6)
-        assert hom_set(big, big) is maps
+        tuples = homsearch._memo[big, big, False][0]
+        assert homsearch._homs(big, big) is tuples
+        assert tuples == tuple(m.map for m in maps)
         with pytest.raises(BudgetExceeded):
             hom_set(big, big, max_nodes=10)
 
@@ -178,8 +180,8 @@ class TestHomSet:
         cold = nodes()
         for k in range(1, CACHE_ENTRIES + 10):
             hom_set(two_point(k), one_point())
-            assert len(homsearch._hom_cache) <= CACHE_ENTRIES
-        assert (big, big) not in homsearch._hom_cache   # the oldest went first
+            assert len(homsearch._memo) <= CACHE_ENTRIES
+        assert (big, big, False) not in homsearch._memo   # the oldest went first
         assert nodes() == cold                           # searched again
         assert nodes() == cold                           # a hit
 
