@@ -213,8 +213,11 @@ def gather_spans(space: Space, stratum, policy: SpanPolicy,
     Two anchors u, u∘tau with tau in the span's dedup group give the same
     span, and the group maps anchors to anchors, so each orbit is kept once,
     by its least member.  The anchors arrive in lexicographic order, so u is
-    kept exactly when no u∘tau sorts before it.  The skip rule runs one
-    filler search plan per h (``homsearch._fillers``) over the anchors.
+    kept exactly when no u∘tau sorts before it.  The anchors that the skip
+    rule drops are exactly the projections {v∘h : v in iso(Y, K_n)}; that
+    set is built once per h, at its first anchor kept by the dedup test, from
+    the memoized isometry set, so every h with the same codomain shares one
+    search and an h without such an anchor charges nothing for the rule.
 
     With ``max_spans`` set, BudgetExceeded is raised at the first span past
     the cap, before any further search.
@@ -227,13 +230,17 @@ def gather_spans(space: Space, stratum, policy: SpanPolicy,
         anchors = _homs(X, space, budget, policy.isometric_u)
         identity_map = tuple(range(X.n))
         moves = [tau for tau in _span_dedup_group(h, budget) if tau != identity_map]
-        fillers = _fillers(h, space, budget)
+        satisfied = None
         for m in anchors:
             if moves and any(tuple(map(m.__getitem__, tau)) < m for tau in moves):
                 continue
-            if policy.skip_satisfied and next(fillers(m), None) is not None:
-                skipped += 1
-                continue
+            if policy.skip_satisfied:
+                if satisfied is None:
+                    satisfied = {tuple(map(v.__getitem__, h.map))
+                                 for v in _homs(h.cod, space, budget, True)}
+                if m in satisfied:
+                    skipped += 1
+                    continue
             spans.append(Span(MetMap._trusted(X, space, m), h))
             if max_spans is not None and len(spans) > max_spans:
                 raise BudgetExceeded(
@@ -304,7 +311,10 @@ def audit_saturation(stages, catalog: IsometryCatalog,
                      *, max_nodes: int | None = None) -> AuditReport:
     """Certify: every isometric u': X -> K_n extends along every stratum-n
     isometry h: X -> Y to an isometric v: Y -> K_{n+1} with v∘h = k∘u',
-    through one filler search plan per (stage, h) (``homsearch._fillers``)."""
+    through one filler search plan per (stage, h) (``homsearch._fillers``).
+    The plan stays per anchor: the anchors lie in K_n, but the fillers go
+    into the larger K_{n+1}, where a projection of iso(Y, K_{n+1}) costs
+    more than the searches it would replace."""
     budget = NodeBudget.of(max_nodes)
     out = []
     for n in range(len(stages) - 1):

@@ -24,8 +24,10 @@ outcome does not depend on the memo; ``clear_caches`` empties every memo.
 The library reads the tuples, and the public ``hom_set``, ``isometry_set``
 and ``automorphisms`` build one ``MetMap`` per tuple.  Filler searches are
 not cached: ``_fillers`` resolves a search into K along h once (rank
-translation, balls, forced positions and charge), and the chain builder and
-the saturation audit run that plan for every map pinned into K.
+translation, balls, forced positions and charge), and the saturation audit
+and ``isometric_fillers`` run that plan for every map pinned into K.  The
+chain builder's skip rule runs no filler search: it projects the memoized
+isometry set iso(Y, K) along h instead.
 """
 
 from __future__ import annotations
@@ -144,7 +146,8 @@ def _fillers(h: MetMap, cod: Space, budget: NodeBudget):
     """A function from the index tuple of a pinned map X -> cod to those of
     the isometric v: Y -> cod with v∘h = pinned, in order and charged to
     ``budget``, for h: X -> Y.  Pins that send one point of Y to two points
-    of cod give none, with no charge."""
+    of cod give none, with no charge.  The saturation audit and
+    ``isometric_fillers`` run this plan; the chain builder does not."""
     req, balls, spend = _required(h.cod, cod, True), cod.balls(), budget.spend_each
 
     def fillers(pins):
@@ -165,8 +168,8 @@ def isometric_fillers(
     """Isometric v: cod(h) -> cod(pinned) with v∘h = pinned.
 
     ``h`` maps X -> Y and ``pinned`` maps X -> K; the search assigns the
-    points of Y, with h-image points forced through ``pinned``, as the chain
-    builder's skip rule and the saturation audit do through ``_fillers``.
+    points of Y, with h-image points forced through ``pinned``, as the
+    saturation audit does through ``_fillers``.
     With ``first_only`` it returns the lexicographically first filler alone.
     """
     if h.dom != pinned.dom:

@@ -54,6 +54,7 @@ CLOSURE_BRUTE = "tests/test_reflect.py::TestClosureOracle"
 BUDGETS = "src/metricat/budgets.py"
 FRAISSE = "src/metricat/fraisse.py"
 PLAN_TESTS = "tests/test_fraisse.py::TestFillerPlan"
+GATHER_TESTS = "tests/test_fraisse.py::TestGatherSpans"
 VERIFY = "src/metricat/verify.py"
 VERIFY_TESTS = "tests/test_colimits.py::TestVerify"
 VERIFY_BRUTE = "tests/test_colimits.py::TestVerifyMatchesBrute"
@@ -154,10 +155,23 @@ MUTANTS = (
            "return _search(req, balls, True, spend, forced)",
            "return _search(req, balls, False, spend, forced)",
            (f"{PLAN_TESTS}::test_gathers_agree_with_a_search_per_anchor",)),
-    Mutant("gather-empty-filler-absent", FRAISSE,
-           "next(fillers(m), None) is not None",
-           "next(fillers(m), None)",
+    Mutant("gather-skip-set-non-isometric", FRAISSE,
+           "for v in _homs(h.cod, space, budget, True)}",
+           "for v in _homs(h.cod, space, budget)}",
            (f"{PLAN_TESTS}::test_gathers_agree_with_a_search_per_anchor",)),
+    Mutant("gather-skip-test-inverted", FRAISSE,
+           "if m in satisfied:",
+           "if m not in satisfied:",
+           (f"{PLAN_TESTS}::test_gathers_agree_with_a_search_per_anchor",)),
+    Mutant("gather-projects-positions", FRAISSE,
+           "tuple(map(v.__getitem__, h.map))",
+           "tuple(map(v.__getitem__, range(len(h.map))))",
+           (f"{PLAN_TESTS}::test_gathers_agree_with_a_search_per_anchor",)),
+    Mutant("gather-skip-set-per-anchor", FRAISSE,
+           "                if satisfied is None:\n",
+           "                if True:\n",
+           (f"{GATHER_TESTS}::test_the_skip_set_is_charged_at_the_first_kept_anchor",
+            f"{PLAN_TESTS}::test_gathers_agree_with_a_search_per_anchor")),
     Mutant("audit-empty-filler-absent", FRAISSE,
            "next(fillers(tuple(map(k.map.__getitem__, u))), None) is None",
            "not next(fillers(tuple(map(k.map.__getitem__, u))), None)",
@@ -174,11 +188,6 @@ MUTANTS = (
            "pins = [(first[p], k, 0) for k, p in enumerate(flat) if first[p] != k]",
            "pins = []",
            (VERIFY_BRUTE,)),
-    Mutant("verify-no-empty-target-rule", VERIFY,
-           "meds = join.walk(0, bool(a.free) and not target.n)",
-           "meds = join.walk(0, False)",
-           equivalent="into an empty target the search over a free apex point yields no "
-                      "mediator and charges nothing, so the cocone fails existence either way"),
     Mutant("verify-bulk-charge-off-by-one", VERIFY,
            "(2 << stop) - 1",
            "(1 << stop) - 1",

@@ -1,6 +1,7 @@
 import os
 import random
 from collections import Counter
+from functools import partial
 from itertools import accumulate
 
 import pytest
@@ -41,6 +42,7 @@ from metricat.spaces import (
     is_isometry,
     one_point,
     two_point,
+    validate_space,
 )
 
 from .oracles import gather_spans_brute
@@ -50,32 +52,55 @@ GRID_12 = DistanceGrid((rat(1), rat(2)), 3)
 # Stratum-3 gathers over the last stage of the 3-step chain of GRID_12:
 # spans, skipped and nodes per policy.
 STRATUM_3 = {
-    "iso-skip": (2117, 4124, 51083),
+    "iso-skip": (2117, 4124, 95820),
     "iso-all": (6241, 0, 22690),
-    "full-skip": (8759, 4124, 587822),
+    "full-skip": (8759, 4124, 611028),
     "full-all": (12883, 0, 537898),
 }
 
 
-def _gather_by_calls(space, stratum, policy, *, max_nodes=None):
-    """``gather_spans`` with one public ``isometric_fillers`` search per
-    anchor: the reference for the per-isometry filler plan."""
+def _skip_by_calls(h, space, budget):
+    """One public ``isometric_fillers`` search per anchor."""
+    return lambda u: bool(isometric_fillers(h, u, first_only=True, max_nodes=budget))
+
+
+def _skip_by_projection(h, space, budget):
+    """The projections v∘h of the public isometry set iso(Y, K), fetched once."""
+    satisfied = {tuple(v.map[p] for p in h.map)
+                 for v in isometry_set(h.cod, space, max_nodes=budget)}
+    return lambda u: u.map in satisfied
+
+
+def _gather_with(skip_rule, space, stratum, policy, *, max_nodes=None, max_spans=None):
+    """``gather_spans`` over public calls, with the skip test that
+    ``skip_rule(h, space, budget)`` makes at h's first anchor kept by the
+    dedup test."""
     budget = NodeBudget.of(max_nodes)
     spans, skipped = [], 0
     for h in stratum:
         anchors = (isometry_set if policy.isometric_u else hom_set)(h.dom, space, max_nodes=budget)
         identity_map = tuple(range(h.dom.n))
         moves = [tau for tau in _span_dedup_group(h, budget) if tau != identity_map]
+        satisfied = None
         for u in anchors:
             m = u.map
             if moves and any(tuple(map(m.__getitem__, tau)) < m for tau in moves):
                 continue
-            if policy.skip_satisfied and isometric_fillers(h, u, first_only=True,
-                                                           max_nodes=budget):
-                skipped += 1
-                continue
+            if policy.skip_satisfied:
+                satisfied = satisfied or skip_rule(h, space, budget)
+                if satisfied(u):
+                    skipped += 1
+                    continue
             spans.append(Span(u, h))
+            if max_spans is not None and len(spans) > max_spans:
+                raise BudgetExceeded(f"gathered {len(spans)} spans (budget {max_spans})")
     return tuple(spans), skipped
+
+
+# The answer reference: a filler search per anchor.
+_gather_by_calls = partial(_gather_with, _skip_by_calls)
+# The charge reference: the skip set projected from iso(Y, K).
+_gather_by_projection = partial(_gather_with, _skip_by_projection)
 
 
 def _outcome(gather, args, limit):
@@ -293,7 +318,8 @@ class TestGatherSpans:
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     def test_orbit_minimum_matches_the_key_and_seen_set(self, policy):
         # Strata 0-3 of the grid {1,2}, cap 3 chain, one stage each: the
-        # spans, skip counts and nodes of the whole stratum, then the span
+        # spans and skip counts of the whole stratum against the explicit
+        # key, its nodes against the projection reference, then the span
         # cap one below the count.  Cold caches: a memo entry keyed on an
         # equal stage of an earlier build is compared entry by entry.
         homsearch.clear_caches()
@@ -302,20 +328,74 @@ class TestGatherSpans:
         assert sum(size > 1 for size in groups) == 10
         for stage in stages:
             args = (stage.space, catalog.stratum(stage.stratum), POLICIES[policy])
-            fast, brute = NodeBudget(), NodeBudget()
+            fast, ref = NodeBudget(), NodeBudget()
             spans, skipped = gather_spans(*args, max_nodes=fast)
-            assert (spans, skipped) == gather_spans_brute(*args, max_nodes=brute)
-            assert fast.used == brute.used
+            assert (spans, skipped) == gather_spans_brute(*args)
+            assert (spans, skipped) == _gather_by_projection(*args, max_nodes=ref)
+            assert fast.used == ref.used
             if not spans:
                 continue
             cap = len(spans) - 1
-            fast, brute = NodeBudget(), NodeBudget()
+            fast, ref = NodeBudget(), NodeBudget()
             with pytest.raises(BudgetExceeded) as got:
                 gather_spans(*args, max_nodes=fast, max_spans=cap)
             with pytest.raises(BudgetExceeded) as want:
-                gather_spans_brute(*args, max_nodes=brute, max_spans=cap)
-            assert str(got.value) == str(want.value)
-            assert fast.used == brute.used
+                gather_spans_brute(*args, max_spans=cap)
+            with pytest.raises(BudgetExceeded) as charged:
+                _gather_by_projection(*args, max_nodes=ref, max_spans=cap)
+            assert str(got.value) == str(want.value) == str(charged.value)
+            assert fast.used == ref.used
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_edge_cases_agree_with_a_search_per_anchor(self, policy):
+        # A non-injective h, whose projections pin both points of the gap
+        # to one; empty X, Y and K; and a K without h's distance, into
+        # which no v exists.  The answers of the per-anchor calls, the
+        # charge of the projection reference; the spans kept and skipped
+        # under the skip rule, for isometric and for all anchors.
+        e, gap = empty_space(), two_point(1)
+        cases = [
+            (MetMap(gap, one_point(), (0, 0)), gap, {True: (1, 0), False: (1, 2)}),
+            (identity(e), e, {True: (0, 1), False: (0, 1)}),
+            (identity(e), gap, {True: (0, 1), False: (0, 1)}),
+            (MetMap(e, one_point(), ()), e, {True: (1, 0), False: (1, 0)}),
+            (MetMap(one_point(), two_point(2), (0,)), gap, {True: (2, 0), False: (2, 0)}),
+        ]
+        chosen = POLICIES[policy]
+        for h, K, counts in cases:
+            args = (K, (h,), chosen)
+            fast, ref = NodeBudget(), NodeBudget()
+            spans, skipped = gather_spans(*args, max_nodes=fast)
+            assert (spans, skipped) == _gather_by_calls(*args)
+            assert (spans, skipped) == _gather_by_projection(*args, max_nodes=ref)
+            assert fast.used == ref.used
+            kept, satisfied = counts[chosen.isometric_u]
+            want = (kept, satisfied) if chosen.skip_satisfied else (kept + satisfied, 0)
+            assert (len(spans), skipped) == want
+
+    @pytest.mark.parametrize("policy", ["iso-skip", "full-skip"])
+    def test_the_skip_set_is_charged_at_the_first_kept_anchor(self, policy):
+        # The unit triangle has no isometric image in the 4-cycle with unit
+        # sides and diagonals 2, but iso(Y, K) searches and charges nodes.
+        # Without a kept anchor the gather charges its anchors and dedup
+        # group alone; with one (every map is non-expansive) it charges
+        # iso(Y, K) once more.
+        triangle = validate_space([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        square = validate_space([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
+        h = identity(triangle)
+        alone, skip_set, gathered = NodeBudget(), NodeBudget(), NodeBudget()
+        anchors = (isometry_set if POLICIES[policy].isometric_u else hom_set)(
+            triangle, square, max_nodes=alone)
+        _span_dedup_group(h, alone)
+        isometry_set(triangle, square, max_nodes=skip_set)
+        assert skip_set.used > 0
+        spans, skipped = gather_spans(square, (h,), POLICIES[policy], max_nodes=gathered)
+        assert (spans, skipped) == _gather_by_calls(square, (h,), POLICIES[policy])
+        if anchors:
+            assert spans and skipped == 0
+            assert gathered.used == alone.used + skip_set.used
+        else:
+            assert spans == () and gathered.used == alone.used
 
     def test_policy_names_round_trip(self):
         for name, policy in POLICIES.items():
@@ -387,15 +467,15 @@ class TestBuildChain:
 
     def test_one_node_budget_covers_the_whole_build(self):
         # Enumeration, catalog, span dedup, gathers and filler searches all
-        # charge the one budget: 1748 nodes, with cold caches or warm.
+        # charge the one budget: 1850 nodes, with cold caches or warm.
         for warm in (False, True):
             homsearch.clear_caches()
             canonical.clear_cache()
             if warm:
                 build_chain(GRID_12, 3)
-            assert len(build_chain(GRID_12, 3, max_nodes=1748)[0]) == 4
-            with pytest.raises(BudgetExceeded, match="over the node budget of 1747"):
-                build_chain(GRID_12, 3, max_nodes=1747)
+            assert len(build_chain(GRID_12, 3, max_nodes=1850)[0]) == 4
+            with pytest.raises(BudgetExceeded, match="spent 1850 nodes, over the node budget of 1849"):
+                build_chain(GRID_12, 3, max_nodes=1849)
         # Out of nodes while cataloguing: the partial chain is K_0 alone.
         with pytest.raises(BudgetExceeded) as err:
             build_chain(GRID_12, 3, max_nodes=0)
@@ -457,11 +537,12 @@ class TestFillerPlan:
     def test_gathers_agree_with_a_search_per_anchor(self, chain_12, policy):
         stages, catalog = chain_12
         args = (stages[-1].space, catalog.stratum(3), POLICIES[policy])
-        fast, slow = NodeBudget(), NodeBudget()
+        fast, ref = NodeBudget(), NodeBudget()
         spans, skipped = gather_spans(*args, max_nodes=fast)
-        assert (spans, skipped) == _gather_by_calls(*args, max_nodes=slow)
+        assert (spans, skipped) == _gather_by_calls(*args)
+        assert (spans, skipped) == _gather_by_projection(*args, max_nodes=ref)
         assert (len(spans), skipped, fast.used) == STRATUM_3[policy]
-        assert slow.used == fast.used
+        assert ref.used == fast.used
 
     def test_audit_charge_is_pinned(self, chain_12):
         stages, catalog = chain_12
@@ -475,18 +556,24 @@ class TestFillerPlan:
 
     @pytest.mark.parametrize("policy", ["iso-skip", "full-skip"])
     def test_single_gathers_stop_at_the_same_node(self, chain_12, policy):
-        # Every fifth stratum-3 isometry alone: the outcome at limits around
-        # the ends of its gather and two inside, against the per-anchor calls.
+        # Every fifth stratum-3 isometry alone: the answer of the per-anchor
+        # calls, then the outcome at limits around the ends of its gather
+        # and two inside, against the projection reference.
         stages, catalog = chain_12
         for index, h in enumerate(catalog.stratum(3)[::5]):
             args = (stages[-1].space, (h,), POLICIES[policy])
-            expected = _outcome(_gather_by_calls, args, None)
+            expected = _outcome(_gather_by_projection, args, None)
             assert _outcome(gather_spans, args, None) == expected
+            assert expected[0] == _gather_by_calls(*args)
             total = expected[1]
             rng = random.Random(index)
             inside = [rng.randrange(total) for _ in range(2)] if total else []
             for limit in (-1, 0, 1, total - 1, *inside):
-                assert _outcome(gather_spans, args, limit) == _outcome(_gather_by_calls, args, limit)
+                got = _outcome(gather_spans, args, limit)
+                assert got == _outcome(_gather_by_projection, args, limit)
+                if 0 <= limit < total:
+                    assert got == (f"search spent {limit + 1} nodes, "
+                                   f"over the node budget of {limit}", limit + 1)
 
     def test_empty_y_has_the_empty_filler_for_free(self):
         e = empty_space()
