@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .budgets import DEFAULT_SPAN_BUDGET, DEFAULT_STAGE_POINT_BUDGET, NodeBudget
 from .canonical import canonical_form
@@ -80,9 +81,7 @@ class IsometryCatalog:
 
     def stratum(self, n: int) -> tuple[MetMap, ...]:
         cap = min(n + 1, self.max_size)
-        return tuple(
-            h for h in self.isometries if h.dom.n <= cap and h.cod.n <= cap
-        )
+        return tuple(h for h in self.isometries if h.dom.n <= cap and h.cod.n <= cap)
 
 
 def catalog_isometries(spaces, *, max_size: int | None = None,
@@ -98,11 +97,10 @@ def catalog_isometries(spaces, *, max_size: int | None = None,
             if X.n > Y.n:
                 continue
             auts = _homs(Y, Y, budget, True)
-            # Isometries arrive in lexicographic order: h is kept exactly
-            # when no a∘h sorts before it, as its orbit's least member.
+            # In lexicographic order, h is its orbit's least when no a∘h sorts before it.
             isometries.extend(
                 MetMap._trusted(X, Y, h) for h in _homs(X, Y, budget, True)
-                if all(tuple(map(a.__getitem__, h)) >= h for a in auts))
+                if all(moved >= h for moved in _project(auts, h)))
     return IsometryCatalog(spaces, tuple(isometries), cap)
 
 
@@ -179,9 +177,7 @@ def chain_step(space: Space, spans, *, max_points: int | None = None):
         return space, identity(space), ()
     total = space.n + sum(s.h.cod.n for s in spans)
     if total > cap:
-        raise BudgetExceeded(
-            f"glued stage would start from {total} points (budget {cap})"
-        )
+        raise BudgetExceeded(f"glued stage would start from {total} points (budget {cap})")
     pieces = (space, *(s.h.cod for s in spans))
     bridges = tuple((0, x, t, y) for t, s in enumerate(spans, 1)
                     for x, y in zip(s.u.map, s.h.map))
@@ -198,9 +194,19 @@ def chain_step(space: Space, spans, *, max_points: int | None = None):
     return apex, k, tuple(records)
 
 
+def _project(maps, positions):
+    """``tuple(m[p] for p in positions)`` for each index tuple m of ``maps``,
+    in order, through one C-level ``itemgetter``; positions may repeat."""
+    if len(positions) > 1:
+        return map(itemgetter(*positions), maps)
+    if positions:
+        return zip(map(itemgetter(positions[0]), maps))
+    return (() for _ in maps)
+
+
 def _span_dedup_group(h: MetMap, budget: NodeBudget) -> tuple[tuple[int, ...], ...]:
     """Domain automorphisms tau with h∘tau equal to some aut of cod ∘ h."""
-    cod_orbit = {tuple(a[p] for p in h.map) for a in _homs(h.cod, h.cod, budget, True)}
+    cod_orbit = set(_project(_homs(h.cod, h.cod, budget, True), h.map))
     return tuple(tau for tau in _homs(h.dom, h.dom, budget, True)
                  if tuple(h.map[p] for p in tau) in cod_orbit)
 
@@ -212,12 +218,13 @@ def gather_spans(space: Space, stratum, policy: SpanPolicy,
 
     Two anchors u, u∘tau with tau in the span's dedup group give the same
     span, and the group maps anchors to anchors, so each orbit is kept once,
-    by its least member.  The anchors arrive in lexicographic order, so u is
-    kept exactly when no u∘tau sorts before it.  The anchors that the skip
-    rule drops are exactly the projections {v∘h : v in iso(Y, K_n)}; that
-    set is built once per h, at its first anchor kept by the dedup test, from
-    the memoized isometry set, so every h with the same codomain shares one
-    search and an h without such an anchor charges nothing for the rule.
+    by its least member: the anchors arrive in lexicographic order, and one
+    filter per non-identity tau keeps u when its projection
+    ``_project(anchors, tau)`` does not sort before it.  The skip rule drops
+    exactly the projections ``_project(iso(Y, K_n), h.map)``, the set
+    {v∘h : v in iso(Y, K_n)}.  It is built from the memoized isometry set, so
+    every h with the same codomain shares one search, and only when an anchor
+    survives the dedup test, so an h without one charges nothing for the rule.
 
     With ``max_spans`` set, BudgetExceeded is raised at the first span past
     the cap, before any further search.
@@ -227,25 +234,18 @@ def gather_spans(space: Space, stratum, policy: SpanPolicy,
     skipped = 0
     for h in stratum:
         X = h.dom
-        anchors = _homs(X, space, budget, policy.isometric_u)
-        identity_map = tuple(range(X.n))
-        moves = [tau for tau in _span_dedup_group(h, budget) if tau != identity_map]
-        satisfied = None
-        for m in anchors:
-            if moves and any(tuple(map(m.__getitem__, tau)) < m for tau in moves):
-                continue
-            if policy.skip_satisfied:
-                if satisfied is None:
-                    satisfied = {tuple(map(v.__getitem__, h.map))
-                                 for v in _homs(h.cod, space, budget, True)}
-                if m in satisfied:
-                    skipped += 1
-                    continue
+        kept = _homs(X, space, budget, policy.isometric_u)
+        for tau in _span_dedup_group(h, budget)[1:]:   # the identity sorts first
+            kept = [m for m, moved in zip(kept, _project(kept, tau)) if moved >= m]
+        if policy.skip_satisfied and kept:
+            satisfied = set(_project(_homs(h.cod, space, budget, True), h.map))
+            fresh = [m for m in kept if m not in satisfied]
+            skipped += len(kept) - len(fresh)
+            kept = fresh
+        for m in kept:
             spans.append(Span(MetMap._trusted(X, space, m), h))
             if max_spans is not None and len(spans) > max_spans:
-                raise BudgetExceeded(
-                    f"gathered {len(spans)} spans (budget {max_spans})"
-                )
+                raise BudgetExceeded(f"gathered {len(spans)} spans (budget {max_spans})")
     return tuple(spans), skipped
 
 

@@ -26,8 +26,8 @@ and ``automorphisms`` build one ``MetMap`` per tuple.  Filler searches are
 not cached: ``_fillers`` resolves a search into K along h once (rank
 translation, balls, forced positions and charge), and the saturation audit
 and ``isometric_fillers`` run that plan for every map pinned into K.  The
-chain builder's skip rule runs no filler search: it projects the memoized
-isometry set iso(Y, K) along h instead.
+chain builder's skip rule runs none: its skip set is the projection
+``fraisse._project`` of the memoized isometry set iso(Y, K) along h.
 """
 
 from __future__ import annotations

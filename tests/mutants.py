@@ -55,6 +55,7 @@ BUDGETS = "src/metricat/budgets.py"
 FRAISSE = "src/metricat/fraisse.py"
 PLAN_TESTS = "tests/test_fraisse.py::TestFillerPlan"
 GATHER_TESTS = "tests/test_fraisse.py::TestGatherSpans"
+PROJECT_TEST = "tests/test_fraisse.py::test_project_matches_the_plain_tuple"
 VERIFY = "src/metricat/verify.py"
 VERIFY_TESTS = "tests/test_colimits.py::TestVerify"
 VERIFY_BRUTE = "tests/test_colimits.py::TestVerifyMatchesBrute"
@@ -144,8 +145,8 @@ MUTANTS = (
             "tests/test_homsearch.py::TestHomSet::"
             "test_cache_is_bounded_and_an_evicted_entry_charges_the_same")),
     Mutant("catalog-keeps-every-isometry", FRAISSE,
-           ">= h for a in auts",
-           ">= () for a in auts",
+           "moved >= h for moved",
+           "moved >= () for moved",
            ("tests/test_fraisse.py::TestCatalog",)),
     Mutant("plan-no-conflict-check", KERNEL,
            "            return iter(())\n",
@@ -156,22 +157,33 @@ MUTANTS = (
            "return _search(req, balls, False, spend, forced)",
            (f"{PLAN_TESTS}::test_gathers_agree_with_a_search_per_anchor",)),
     Mutant("gather-skip-set-non-isometric", FRAISSE,
-           "for v in _homs(h.cod, space, budget, True)}",
-           "for v in _homs(h.cod, space, budget)}",
+           "_project(_homs(h.cod, space, budget, True), h.map)",
+           "_project(_homs(h.cod, space, budget), h.map)",
            (f"{PLAN_TESTS}::test_gathers_agree_with_a_search_per_anchor",)),
     Mutant("gather-skip-test-inverted", FRAISSE,
-           "if m in satisfied:",
-           "if m not in satisfied:",
+           "if m not in satisfied]",
+           "if m in satisfied]",
            (f"{PLAN_TESTS}::test_gathers_agree_with_a_search_per_anchor",)),
     Mutant("gather-projects-positions", FRAISSE,
-           "tuple(map(v.__getitem__, h.map))",
-           "tuple(map(v.__getitem__, range(len(h.map))))",
+           "space, budget, True), h.map))",
+           "space, budget, True), range(len(h.map))))",
            (f"{PLAN_TESTS}::test_gathers_agree_with_a_search_per_anchor",)),
-    Mutant("gather-skip-set-per-anchor", FRAISSE,
-           "                if satisfied is None:\n",
-           "                if True:\n",
-           (f"{GATHER_TESTS}::test_the_skip_set_is_charged_at_the_first_kept_anchor",
-            f"{PLAN_TESTS}::test_gathers_agree_with_a_search_per_anchor")),
+    Mutant("gather-skip-set-per-anchor", FRAISSE,   # built even when no anchor survives
+           "if policy.skip_satisfied and kept:",
+           "if policy.skip_satisfied:",
+           (f"{GATHER_TESTS}::test_the_skip_set_is_charged_at_the_first_kept_anchor",)),
+    Mutant("gather-dedup-drops-fixed-anchors", FRAISSE,   # a u with u∘tau == u
+           "if moved >= m]",
+           "if moved > m]",
+           (f"{PLAN_TESTS}::test_gathers_agree_with_a_search_per_anchor",)),
+    Mutant("project-one-position-unwrapped", FRAISSE,
+           "return zip(map(itemgetter(positions[0]), maps))",
+           "return map(itemgetter(positions[0]), maps)",
+           (PROJECT_TEST, f"{PLAN_TESTS}::test_gathers_agree_with_a_search_per_anchor")),
+    Mutant("project-no-empty-tuples", FRAISSE,
+           "return (() for _ in maps)",
+           "return iter(())",
+           (PROJECT_TEST, f"{PLAN_TESTS}::test_gathers_agree_with_a_search_per_anchor")),
     Mutant("audit-empty-filler-absent", FRAISSE,
            "next(fillers(tuple(map(k.map.__getitem__, u))), None) is None",
            "not next(fillers(tuple(map(k.map.__getitem__, u))), None)",

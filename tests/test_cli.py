@@ -82,11 +82,14 @@ CHAIN_RUN_SHA256 = {
 CHAIN_BUILD_NODES = 1850
 CHAIN_AUDIT_NODES = 2330
 # The same least budgets for builds that take other gather paths: full
-# anchors with the skip rule, and six steps over a three-value grid.
+# anchors with the skip rule, six steps over a three-value grid, and full
+# anchors without the skip rule, where the dedup filter is the gather's only test.
 GATHER_PATH_NODES = [
     (["fraisse", "build", "--grid", "1,2", "--max-size", "3", "--steps", "2",
       "--policy", "full-skip"], 847, 812),
     (["fraisse", "build", "--grid", "1,2,3", "--max-size", "2", "--steps", "6"], 4761, 3507),
+    (["fraisse", "build", "--grid", "1,2", "--max-size", "3", "--steps", "2",
+      "--policy", "full-all"], 845, 812),
 ]
 
 

@@ -17,6 +17,7 @@ from metricat.fraisse import (
     ChainStage,
     DistanceGrid,
     Span,
+    _project,
     _span_dedup_group,
     audit_saturation,
     build_chain,
@@ -116,6 +117,19 @@ def _outcome(gather, args, limit):
 def chain_12():
     homsearch.clear_caches()
     return build_chain(GRID_12, 3)
+
+
+@pytest.mark.parametrize("positions", [
+    (), (0,), (2,), (0, 1), (1, 0), (1, 1), (0, 2, 1), (2, 2, 0), (1, 1, 1)])
+def test_project_matches_the_plain_tuple(positions):
+    # Every length from 0 to 3, repeated positions as a non-injective h
+    # gives, and no maps at all; a tuple, a list and a one-pass iterator.
+    rng = random.Random(repr(positions))
+    maps = tuple(tuple(rng.randrange(4) for _ in range(3)) for _ in range(20))
+    want = [tuple(m[p] for p in positions) for m in maps]
+    assert list(_project((), positions)) == list(_project([], positions)) == []
+    for given in (maps, list(maps), iter(maps)):
+        assert list(_project(given, positions)) == want
 
 
 class TestDistanceGrid:
