@@ -135,7 +135,7 @@ def policy_name(policy: SpanPolicy) -> str:
     raise ValueError("unnamed policy")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     u: MetMap  # X -> K_n
     h: MetMap  # X -> Y, an isometry from the catalog
@@ -143,6 +143,18 @@ class Span:
     def __post_init__(self):
         if self.u.dom != self.h.dom:
             raise MismatchedEndpoints("span legs need a shared domain")
+
+    @classmethod
+    def _trusted(cls, u: MetMap, h: MetMap) -> "Span":
+        # Internal: legs that share their domain by construction; no check.
+        self = object.__new__(cls)
+        _set_u(self, u)
+        _set_h(self, h)
+        return self
+
+
+# As for MetMap._trusted: write the frozen slots through their descriptors.
+_set_u, _set_h = Span.u.__set__, Span.h.__set__
 
 
 @dataclass(frozen=True)
@@ -226,10 +238,15 @@ def gather_spans(space: Space, stratum, policy: SpanPolicy,
     every h with the same codomain shares one search, and only when an anchor
     survives the dedup test, so an h without one charges nothing for the rule.
 
+    Each kept span is built without a check (``Span._trusted`` over
+    ``MetMap._trusted``): u is one of the searched maps X -> K_n, and both
+    legs start at h's own domain.
+
     With ``max_spans`` set, BudgetExceeded is raised at the first span past
     the cap, before any further search.
     """
     budget = NodeBudget.of(max_nodes)
+    trusted_map, trusted_span = MetMap._trusted, Span._trusted
     spans: list[Span] = []
     skipped = 0
     for h in stratum:
@@ -243,7 +260,7 @@ def gather_spans(space: Space, stratum, policy: SpanPolicy,
             skipped += len(kept) - len(fresh)
             kept = fresh
         for m in kept:
-            spans.append(Span(MetMap._trusted(X, space, m), h))
+            spans.append(trusted_span(trusted_map(X, space, m), h))
             if max_spans is not None and len(spans) > max_spans:
                 raise BudgetExceeded(f"gathered {len(spans)} spans (budget {max_spans})")
     return tuple(spans), skipped

@@ -13,13 +13,14 @@ closure does not depend on the order of the intermediate points, so the
 points go sparsest first (fewest finite entries in the input, ties in index
 order), and each point relaxes only the pairs inside its finite
 neighbourhood.  A presentation's coproduct of small pieces joined by a few
-bridges then costs little more than its bridges.  Zero classes are read off
-the closed integers as well, and the reflected space holds one ``ExtRat``
-per distinct distance.
+bridges then costs little more than its bridges.  Zero classes and the
+reflected space's rank table are read off the closed integers as well, and
+the space holds one ``ExtRat`` per distinct distance.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, compress
 
@@ -99,17 +100,28 @@ def _shortest_paths(dist) -> tuple[list[list[int]], int, int]:
 
 
 def _reflect(dist) -> Reflection:
-    # Internal: ``dist`` is a square, symmetric, zero-diagonal ExtRat matrix.
+    """Reflect ``dist``, a square, symmetric, zero-diagonal ExtRat matrix.
+
+    The collapsed closure is triangle-closed and separated, so the space is
+    built unchecked through ``Space._ranked``, with the rank table of its
+    distinct closed integers: they sort as the distances do, and every
+    integer at or above the sentinel is INF, at the one last rank.
+    """
     m, scale, sentinel = _shortest_paths(dist)
     # Zero distance is an equivalence once closed: a point's first zero is
     # its class's least member, and the classes are numbered in that order.
     label: dict[int, int] = {}
     projection = tuple(label.setdefault(row.index(0), len(label)) for row in m)
     rows = [[m[a][b] for b in label] for a in label]
-    value = {v: INF if v >= sentinel else ExtRat(v, scale)
-             for v in set(chain.from_iterable(rows))}
-    return Reflection(
-        Space(tuple(tuple(map(value.__getitem__, row)) for row in rows)), projection)
+    ints = sorted(set(chain.from_iterable(rows)))
+    finite = bisect_left(ints, sentinel)
+    values = tuple(ExtRat(v, scale) for v in ints[:finite]) + (INF,) * (finite < len(ints))
+    rank_of = {v: min(r, finite) for r, v in enumerate(ints)}
+    ranks = map(rank_of.__getitem__, chain.from_iterable(rows))
+    rank = bytes(ranks) if len(values) <= 256 else tuple(ranks)
+    n = len(rows)
+    closed = tuple(tuple(map(values.__getitem__, rank[i * n:i * n + n])) for i in range(n))
+    return Reflection(Space._ranked(closed, values, rank), projection)
 
 
 def reflect(sm: Semimetric) -> Reflection:

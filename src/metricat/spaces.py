@@ -70,17 +70,27 @@ class Space:
     """Immutable finite extended-metric space.
 
     ``dist`` is the full symmetric matrix; ``labels`` are optional display
-    names.  Construction checks the cheap axioms (shape, diagonal, symmetry,
-    separation); the triangle inequality is enforced at every public boundary
-    by :func:`validate_space` and the JSON decoders, and holds by
-    construction for internally built spaces (see ``assert_metric`` used
-    throughout the tests).  Loading a run directory decodes and fully
-    validates each stage file once, and every map that refers to the stage
-    shares that one Space.
+    names.  There are three ways in:
 
-    Three caches are filled on first use and take no part in equality,
-    pickling or copying: the hash, the rank table (``ranks``) and the ball
-    masks (``balls``) that the searches in :mod:`metricat.homsearch` read.
+    - ``Space(dist, labels)`` checks the cheap axioms (shape, diagonal,
+      symmetry, separation).  Products, coproducts, subspaces, canonical
+      forms and the small spaces built by hand use it; the triangle
+      inequality holds for them by construction.
+    - ``Space._validated(dist, labels)`` checks every axiom, the triangle
+      included, once.  :func:`validate_space`, the JSON decoders, corpus
+      draws and grid enumeration use it.  Loading a run directory decodes
+      and fully validates each stage file once, and every map that refers
+      to the stage shares that one Space.
+    - ``Space._ranked(dist, values, rank)`` checks nothing and takes the rank
+      table as given.  Only ``reflect._reflect`` uses it: its matrix is
+      triangle-closed and separated by construction, and it reads the rank
+      table off its integer closure.
+
+    ``assert_metric`` runs the full check on demand; the tests call it on
+    internally built spaces.  Three caches are filled on first use and take
+    no part in equality, pickling or copying: the hash, the rank table
+    (``ranks``) and the ball masks (``balls``) that the searches in
+    :mod:`metricat.homsearch` read.
     """
 
     dist: tuple[tuple[ExtRat, ...], ...]
@@ -109,6 +119,19 @@ class Space:
             raise SpaceValidationError(bad)
         if labels is not None and len(labels) != len(dist):
             raise SpaceValidationError([Violation("NotSquare", (len(labels),))])
+        return cls._bare(dist, labels)
+
+    @classmethod
+    def _ranked(cls, dist, values, rank) -> "Space":
+        # Internal: a triangle-closed, separated matrix and its rank table,
+        # as ``ranks()`` would compute it; no checks.
+        self = cls._bare(dist, None)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_rank", rank)
+        return self
+
+    @classmethod
+    def _bare(cls, dist, labels) -> "Space":
         self = object.__new__(cls)
         for slot in cls.__slots__:
             object.__setattr__(self, slot, None)
@@ -236,9 +259,9 @@ class MetMap:
     def _trusted(cls, dom: Space, cod: Space, map: tuple[int, ...]) -> "MetMap":
         # Internal: a map that is non-expansive by construction; no checks.
         self = object.__new__(cls)
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "map", map)
+        _set_dom(self, dom)
+        _set_cod(self, cod)
+        _set_map(self, map)
         return self
 
     def __call__(self, i: int) -> int:
@@ -256,6 +279,12 @@ class MetMap:
 
     def __repr__(self) -> str:
         return f"MetMap({self.dom.n}->{self.cod.n}, {self.map})"
+
+
+# The trusted constructor writes the slots through their descriptors: a
+# frozen dataclass refuses plain writes, and this skips the name lookup of
+# object.__setattr__.
+_set_dom, _set_cod, _set_map = MetMap.dom.__set__, MetMap.cod.__set__, MetMap.map.__set__
 
 
 def identity(space: Space) -> MetMap:

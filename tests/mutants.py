@@ -61,6 +61,7 @@ VERIFY_TESTS = "tests/test_colimits.py::TestVerify"
 VERIFY_BRUTE = "tests/test_colimits.py::TestVerifyMatchesBrute"
 VERIFY_NODES = "tests/test_colimits.py::TestVerifyNodeCharges"
 BOUNDARY = "tests/test_boundary.py::test_maps_leaving_the_library_are_valid"
+SPAN_REBUILD = "tests/test_boundary.py::test_gathered_spans_equal_their_public_rebuild"
 # Exceptions (and their subclasses) that a broken replacement raises.
 BROKEN_BY = frozenset({"NameError", "UnboundLocalError", "ImportError", "ModuleNotFoundError",
                        "SyntaxError", "IndentationError", "TabError"})
@@ -133,6 +134,14 @@ MUTANTS = (
     Mutant("closure-one-sided-write", CLOSURE,
            "                    m[j][i] = alt\n",
            "",
+           (CLOSURE_BRUTE,)),
+    Mutant("reflect-ranks-unsorted", CLOSURE,
+           "ints = sorted(set(chain.from_iterable(rows)))",
+           "ints = list(set(chain.from_iterable(rows)))",
+           (CLOSURE_BRUTE,)),
+    Mutant("reflect-sentinel-finite", CLOSURE,   # the sentinel read as a distance
+           "finite = bisect_left(ints, sentinel)",
+           "finite = len(ints)",
            (CLOSURE_BRUTE,)),
     Mutant("budget-reads-the-environment", BUDGETS,
            "self.limit = DEFAULT_NODE_BUDGET if limit is None else limit",
@@ -232,6 +241,10 @@ MUTANTS = (
            "MetMap._trusted(B, L, homBL[admitting - 1])",
            "MetMap._trusted(B, K, homBL[admitting - 1])",
            (f"{BOUNDARY}[purity]",)),
+    Mutant("boundary-span-legs-swapped", FRAISSE,
+           "trusted_span(trusted_map(X, space, m), h)",
+           "trusted_span(h, trusted_map(X, space, m))",
+           (f"{SPAN_REBUILD}[iso-skip]",)),
     Mutant("boundary-audit-witness-into-the-next-stage", FRAISSE,
            "MetMap._trusted(h.dom, stage.space, u)",
            "MetMap._trusted(h.dom, k.cod, u)",

@@ -4,6 +4,9 @@ Inside the library hom-sets are index tuples, and a ``MetMap`` is built
 without validation (``MetMap._trusted``) only where a map is returned.
 Each case below collects the maps one public function returns, with the
 endpoints it must have; each map must validate again from its own fields.
+The spans that ``gather_spans`` builds with ``Span._trusted``, and the
+span records of a chain, must equal their rebuild through the public
+constructors.
 """
 
 import pytest
@@ -11,8 +14,8 @@ import pytest
 from metricat.colimits import EpsPushoutResult, coproduct, eps_pushout, span_presentation
 from metricat.extrat import INF, ZERO, rat
 from metricat.fraisse import (
-    POLICIES, ChainStage, DistanceGrid, Span, audit_saturation, build_chain,
-    catalog_isometries, chain_step, gather_spans,
+    POLICIES, ChainStage, DistanceGrid, Span, SpanRecord, audit_saturation, build_chain,
+    catalog_isometries, chain_step, enumerate_spaces, gather_spans,
 )
 from metricat.injectivity import (
     TestFamily as ProbeFamily, injectivity_defect, is_eps_injective, is_eps_mono, is_eps_split,
@@ -20,6 +23,8 @@ from metricat.injectivity import (
 )
 from metricat.spaces import MetMap, empty_space, identity, one_point, two_point, validate_space
 from metricat.verify import verify_pushout
+
+from .oracles import gather_spans_brute
 
 # f: two points at 2 -> two points at 1, into K = two points at 2: the
 # identity g has no h within less than 2.
@@ -146,8 +151,52 @@ CASES = {
 }
 
 
+def _rebuilt(m):
+    return MetMap(m.dom, m.cod, m.map)   # validates again
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_maps_leaving_the_library_are_valid(case):
     for m, dom, cod in CASES[case]():
         assert (m.dom, m.cod) == (dom, cod)
-        assert MetMap(m.dom, m.cod, m.map) == m   # validates again
+        assert _rebuilt(m) == m
+
+
+GRID_12 = DistanceGrid((rat(1), rat(2)), 3)
+
+
+@pytest.fixture(scope="module")
+def stage_3():
+    """The 133-point last stage of the 3-step chain of ``GRID_12``, glued
+    from the oracle's spans: a fault of ``gather_spans`` then fails the
+    test below, not this fixture."""
+    catalog = catalog_isometries(enumerate_spaces(GRID_12), max_size=3)
+    space = empty_space()
+    for n in range(3):
+        spans, _ = gather_spans_brute(space, catalog.stratum(n), POLICIES["iso-skip"])
+        space, _, _ = chain_step(space, spans)
+    assert space.n == 133
+    return space, catalog
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_gathered_spans_equal_their_public_rebuild(stage_3, policy):
+    space, catalog = stage_3
+    stratum = catalog.stratum(3)
+    spans, _ = gather_spans(space, stratum, POLICIES[policy])
+    assert spans
+    isometries = set(stratum)
+    for s in spans:
+        assert (s.u.dom, s.u.cod) == (s.h.dom, space)
+        assert s.h in isometries
+        assert Span(_rebuilt(s.u), _rebuilt(s.h)) == s
+
+
+def test_chain_span_records_equal_their_public_rebuild():
+    stages, _ = build_chain(GRID_12, 3)
+    assert [len(stage.span_log) for stage in stages] == [1, 4, 76, 0]
+    for stage, nxt in zip(stages, stages[1:]):
+        for record in stage.span_log:
+            u, h, copy = record.span.u, record.span.h, record.copy
+            assert (u.dom, u.cod, copy.dom, copy.cod) == (h.dom, stage.space, h.cod, nxt.space)
+            assert SpanRecord(Span(_rebuilt(u), _rebuilt(h)), _rebuilt(copy)) == record

@@ -81,12 +81,31 @@ CHAIN_RUN_SHA256 = {
 }
 CHAIN_BUILD_NODES = 1850
 CHAIN_AUDIT_NODES = 2330
+# The same digests for a build whose gathers admit every non-expansive
+# anchor and skip the satisfied ones.
+FULL_SKIP_ARGS = ["fraisse", "build", "--grid", "1,2", "--max-size", "3", "--steps", "2",
+                  "--policy", "full-skip"]
+FULL_SKIP_RUN_SHA256 = {
+    "embeddings/k_000_001.json":
+        "b88491b2c7f1e46d6ceecc523868dd367ca6d090e5e7c323e5abe0dd88f01f9d",
+    "embeddings/k_001_002.json":
+        "6996b7f822d31a9814156e336393743aa519434bf017f51a6ac163a15bad5ceb",
+    "spans/step_000.json":
+        "2cc43ac51a371f04ad044cbde783103391351da93f9c5b53f293946e86d3b7bc",
+    "spans/step_001.json":
+        "47e1936f3a5ac1b62af9af09a26e41c78f8fc718e7905c05c9153edcdab6d4d6",
+    "stages/K_000.json":
+        "43d7c56409ae0619b098a2fe27ccab801cc238ebbd7cba3248e0190bbf1b5729",
+    "stages/K_001.json":
+        "c3c76ff3c19e9c99a1968f0806d930bead63d2ec81d32e90545fc6f5bee2f02c",
+    "stages/K_002.json":
+        "28f8d7d0e63ad2d1d2fc4907ccb980b78b309d633cc7d5b930bf84cf3f8bde02",
+}
 # The same least budgets for builds that take other gather paths: full
 # anchors with the skip rule, six steps over a three-value grid, and full
 # anchors without the skip rule, where the dedup filter is the gather's only test.
 GATHER_PATH_NODES = [
-    (["fraisse", "build", "--grid", "1,2", "--max-size", "3", "--steps", "2",
-      "--policy", "full-skip"], 847, 812),
+    (FULL_SKIP_ARGS, 847, 812),
     (["fraisse", "build", "--grid", "1,2,3", "--max-size", "2", "--steps", "6"], 4761, 3507),
     (["fraisse", "build", "--grid", "1,2", "--max-size", "3", "--steps", "2",
       "--policy", "full-all"], 845, 812),
@@ -95,6 +114,23 @@ GATHER_PATH_NODES = [
 
 def invoke(args):
     return CliRunner().invoke(main, args, catch_exceptions=False)
+
+
+def _built_run(tmp_path, build):
+    """Build into a fresh run directory: the sha256 of each file but
+    manifest.json, and the stage sizes the manifest records."""
+    run_dir = str(tmp_path / "run")
+    assert invoke([*build, "--out", run_dir]).exit_code == 0
+    digests = {}
+    for top, _, names in os.walk(run_dir):
+        for name in names:
+            rel = os.path.relpath(os.path.join(top, name), run_dir)
+            if rel != "manifest.json":
+                with open(os.path.join(run_dir, rel), "rb") as fh:
+                    digests[rel] = hashlib.sha256(fh.read()).hexdigest()
+    outcome = read_json(os.path.join(run_dir, "manifest.json"))["outcome"]
+    assert outcome["complete"]
+    return digests, outcome["stages"]
 
 
 def _assert_least_budgets(tmp_path, build, build_nodes, audit_nodes):
@@ -424,18 +460,10 @@ class TestFraisseCommands:
             assert bytes_a == bytes_b, rel
 
     def test_standard_run_directory_is_pinned(self, tmp_path):
-        run_dir = str(tmp_path / "run")
-        assert invoke([*CHAIN_ARGS, "--out", run_dir]).exit_code == 0
-        digests = {}
-        for top, _, names in os.walk(run_dir):
-            for name in names:
-                rel = os.path.relpath(os.path.join(top, name), run_dir)
-                if rel != "manifest.json":
-                    with open(os.path.join(run_dir, rel), "rb") as fh:
-                        digests[rel] = hashlib.sha256(fh.read()).hexdigest()
-        assert digests == CHAIN_RUN_SHA256
-        manifest = read_json(os.path.join(run_dir, "manifest.json"))
-        assert manifest["outcome"] == {"complete": True, "stages": [0, 1, 7, 133]}
+        assert _built_run(tmp_path, CHAIN_ARGS) == (CHAIN_RUN_SHA256, [0, 1, 7, 133])
+
+    def test_full_skip_run_directory_is_pinned(self, tmp_path):
+        assert _built_run(tmp_path, FULL_SKIP_ARGS) == (FULL_SKIP_RUN_SHA256, [0, 1, 7])
 
     def test_chain_node_charges_are_pinned(self, tmp_path):
         _assert_least_budgets(tmp_path, CHAIN_ARGS, CHAIN_BUILD_NODES, CHAIN_AUDIT_NODES)

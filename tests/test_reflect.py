@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from metricat.corpus import random_semimetric
 from metricat.errors import SpaceValidationError
 from metricat.extrat import INF, ZERO, ExtRat, integer_matrix, rat
+from metricat.fraisse import DistanceGrid, build_chain
 from metricat.reflect import Semimetric, reflect, semimetric_of, semimetric_of_space
-from metricat.spaces import validate_space
+from metricat.spaces import Space, validate_space
 
 from .oracles import (
     floyd_warshall_brute,
@@ -147,6 +148,18 @@ def _bridged_coproduct(rng, pieces):
     return rows
 
 
+def _assert_built_as_validated(space):
+    """A reflected space meets every axiom, and its rank table (filled when
+    it was built), ball masks, hash and equality are those of its matrix
+    checked and built by ``Space._validated``."""
+    space.assert_metric()
+    plain = Space._validated(space.dist)
+    assert space.ranks() == plain.ranks()
+    assert space.balls() == plain.balls()
+    assert hash(space) == hash(plain)
+    assert space == plain
+
+
 class TestClosureOracle:
     @settings(max_examples=200)
     @given(st.integers(0, 2**30), st.integers(0, 4))
@@ -169,6 +182,25 @@ class TestClosureOracle:
             for j in range(n):
                 assert refl.space.d(proj[i], proj[j]) == want[i][j]
         assert all(x is INF for row in refl.space.dist for x in row if x == INF)
+        _assert_built_as_validated(refl.space)
+
+    def test_more_than_256_distances_rank_as_a_tuple(self):
+        # 24 points, each pair at its own distance between 1000 and 1300,
+        # and one more point at INF from them: 278 distinct values
+        rows = [[INF] * 25 for _ in range(25)]
+        for k, (i, j) in enumerate((i, j) for i in range(24) for j in range(i, 24)):
+            rows[i][j] = rows[j][i] = rat(1000 + k) if i != j else ZERO
+        rows[24][24] = ZERO
+        refl = reflect(Semimetric(tuple(map(tuple, rows))))
+        values, rank = refl.space.ranks()
+        assert (len(values), type(rank), values[-1]) == (278, tuple, INF)
+        _assert_built_as_validated(refl.space)
+
+    def test_chain_stages_are_built_as_validated(self):
+        stages, _ = build_chain(DistanceGrid((rat(1), rat(2)), 3), 3)
+        assert [stage.space.n for stage in stages] == [0, 1, 7, 133]
+        for stage in stages:
+            _assert_built_as_validated(stage.space)
 
 
 class TestSimplePathOracle:
