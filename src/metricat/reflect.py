@@ -102,10 +102,11 @@ def _shortest_paths(dist) -> tuple[list[list[int]], int, int]:
 def _reflect(dist) -> Reflection:
     """Reflect ``dist``, a square, symmetric, zero-diagonal ExtRat matrix.
 
-    The collapsed closure is triangle-closed and separated, so the space is
-    built unchecked through ``Space._ranked``, with the rank table of its
-    distinct closed integers: they sort as the distances do, and every
-    integer at or above the sentinel is INF, at the one last rank.
+    The collapsed closure is triangle-closed and separated, so
+    ``Space._ranked`` builds the space unchecked from its distinct closed
+    integers, sorted (they sort as the distances do), and each entry's index
+    among them.  Every integer at or above the sentinel is INF, at the one
+    last rank.
     """
     m, scale, sentinel = _shortest_paths(dist)
     # Zero distance is an equivalence once closed: a point's first zero is
@@ -117,11 +118,8 @@ def _reflect(dist) -> Reflection:
     finite = bisect_left(ints, sentinel)
     values = tuple(ExtRat(v, scale) for v in ints[:finite]) + (INF,) * (finite < len(ints))
     rank_of = {v: min(r, finite) for r, v in enumerate(ints)}
-    ranks = map(rank_of.__getitem__, chain.from_iterable(rows))
-    rank = bytes(ranks) if len(values) <= 256 else tuple(ranks)
-    n = len(rows)
-    closed = tuple(tuple(map(values.__getitem__, rank[i * n:i * n + n])) for i in range(n))
-    return Reflection(Space._ranked(closed, values, rank), projection)
+    return Reflection(
+        Space._ranked(values, map(rank_of.__getitem__, chain.from_iterable(rows))), projection)
 
 
 def reflect(sm: Semimetric) -> Reflection:

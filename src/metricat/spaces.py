@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import isqrt
 from operator import add, or_
 
 from .budgets import DEFAULT_POINT_BUDGET
@@ -81,10 +82,11 @@ class Space:
       draws and grid enumeration use it.  Loading a run directory decodes
       and fully validates each stage file once, and every map that refers
       to the stage shares that one Space.
-    - ``Space._ranked(dist, values, rank)`` checks nothing and takes the rank
-      table as given.  Only ``reflect._reflect`` uses it: its matrix is
-      triangle-closed and separated by construction, and it reads the rank
-      table off its integer closure.
+    - ``Space._ranked(values, ranks)`` checks nothing: it builds the matrix
+      from a rank table in the form ``ranks()`` returns, before packing.
+      Only ``reflect._reflect`` uses it: its matrix is triangle-closed and
+      separated by construction, and it reads the table off its integer
+      closure.
 
     ``assert_metric`` runs the full check on demand; the tests call it on
     internally built spaces.  Three caches are filled on first use and take
@@ -122,12 +124,15 @@ class Space:
         return cls._bare(dist, labels)
 
     @classmethod
-    def _ranked(cls, dist, values, rank) -> "Space":
-        # Internal: a triangle-closed, separated matrix and its rank table,
-        # as ``ranks()`` would compute it; no checks.
-        self = cls._bare(dist, None)
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_rank", rank)
+    def _ranked(cls, values, ranks) -> "Space":
+        # Internal: the space whose row-major distances are values[r] for r
+        # in ranks, a triangle-closed, separated matrix; ``values`` sorted
+        # and distinct, as ``ranks()`` computes them.  No checks.
+        self = cls._bare(None, None)
+        values, rank = self._store_ranks(values, ranks)
+        n = isqrt(len(rank))
+        object.__setattr__(self, "dist", tuple(
+            tuple(map(values.__getitem__, rank[i * n:i * n + n])) for i in range(n)))
         return self
 
     @classmethod
@@ -165,10 +170,16 @@ class Space:
             flat = tuple(itertools.chain.from_iterable(self.dist))
             values = tuple(sorted(set(flat)))
             index = {v: r for r, v in enumerate(values)}
-            rank = tuple(map(index.__getitem__, flat))
-            object.__setattr__(self, "_values", values)
-            object.__setattr__(self, "_rank", bytes(rank) if len(values) <= 256 else rank)
+            self._store_ranks(values, map(index.__getitem__, flat))
         return self._values, self._rank
+
+    def _store_ranks(self, values, ranks):
+        # The one place the rank table is packed: bytes when at most 256
+        # values, else a tuple.
+        rank = bytes(ranks) if len(values) <= 256 else tuple(ranks)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_rank", rank)
+        return values, rank
 
     def balls(self) -> tuple[bytes | tuple[int, ...], ...]:
         """``balls()[p][r]``: the bitmask (bit ``q`` for point ``q``) of the

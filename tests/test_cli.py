@@ -118,7 +118,7 @@ def invoke(args):
 
 def _built_run(tmp_path, build):
     """Build into a fresh run directory: the sha256 of each file but
-    manifest.json, and the stage sizes the manifest records."""
+    manifest.json, and the outcome the manifest records."""
     run_dir = str(tmp_path / "run")
     assert invoke([*build, "--out", run_dir]).exit_code == 0
     digests = {}
@@ -128,9 +128,7 @@ def _built_run(tmp_path, build):
             if rel != "manifest.json":
                 with open(os.path.join(run_dir, rel), "rb") as fh:
                     digests[rel] = hashlib.sha256(fh.read()).hexdigest()
-    outcome = read_json(os.path.join(run_dir, "manifest.json"))["outcome"]
-    assert outcome["complete"]
-    return digests, outcome["stages"]
+    return digests, read_json(os.path.join(run_dir, "manifest.json"))["outcome"]
 
 
 def _assert_least_budgets(tmp_path, build, build_nodes, audit_nodes):
@@ -460,10 +458,12 @@ class TestFraisseCommands:
             assert bytes_a == bytes_b, rel
 
     def test_standard_run_directory_is_pinned(self, tmp_path):
-        assert _built_run(tmp_path, CHAIN_ARGS) == (CHAIN_RUN_SHA256, [0, 1, 7, 133])
+        assert _built_run(tmp_path, CHAIN_ARGS) == (
+            CHAIN_RUN_SHA256, {"complete": True, "stages": [0, 1, 7, 133]})
 
     def test_full_skip_run_directory_is_pinned(self, tmp_path):
-        assert _built_run(tmp_path, FULL_SKIP_ARGS) == (FULL_SKIP_RUN_SHA256, [0, 1, 7])
+        assert _built_run(tmp_path, FULL_SKIP_ARGS) == (
+            FULL_SKIP_RUN_SHA256, {"complete": True, "stages": [0, 1, 7]})
 
     def test_chain_node_charges_are_pinned(self, tmp_path):
         _assert_least_budgets(tmp_path, CHAIN_ARGS, CHAIN_BUILD_NODES, CHAIN_AUDIT_NODES)
