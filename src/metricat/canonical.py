@@ -58,10 +58,13 @@ def canonical_form(space: Space, *, max_nodes: int | None = None) -> CanonicalRe
 
 def _canonicalize(space: Space, budget: NodeBudget) -> CanonicalResult:
     n = space.n
+    values, rank = space.ranks()
     if n <= 1:
-        return CanonicalResult(Space(space.dist), tuple(range(n)))
+        return CanonicalResult(Space._ranked(values, rank), tuple(range(n)))
 
-    dist = space.dist
+    # Ranks order as the distances do, so the least word over ranks is the
+    # least over distances.
+    dist = [rank[i * n:i * n + n] for i in range(n)]
     colors = _refine_colors(dist)
 
     best_word: list | None = None
@@ -95,7 +98,7 @@ def _canonicalize(space: Space, budget: NodeBudget) -> CanonicalResult:
     place(0, [])
     assert best_perm is not None
     order = best_perm
-    canon = Space(tuple(tuple(dist[order[a]][order[b]] for b in range(n)) for a in range(n)))
+    canon = Space._ranked(values, (dist[a][b] for a in order for b in order))
     return CanonicalResult(canon, order)
 
 
@@ -103,10 +106,7 @@ def are_isomorphic(a: Space, b: Space, *, max_nodes: int | None = None) -> bool:
     if a.n != b.n:
         return False
     budget = NodeBudget.of(max_nodes)
-    return (
-        canonical_form(a, max_nodes=budget).space.dist
-        == canonical_form(b, max_nodes=budget).space.dist
-    )
+    return canonical_form(a, max_nodes=budget).space == canonical_form(b, max_nodes=budget).space
 
 
 def canonical_witness(space: Space) -> MetMap:

@@ -231,7 +231,7 @@ def colimit_coequalizer(eps, infile, verify, max_nodes):
     from .spaces import MetMap
 
     f, g = pair_from_json(read_json(infile))
-    if f.cod.dist != g.cod.dist:
+    if f.cod.ranks() != g.cod.ranks():
         raise SchemaError("parallel pair must share its codomain", "/g/cod")
     if f.cod != g.cod:
         g = MetMap(g.dom, f.cod, g.map)

@@ -37,8 +37,9 @@ class Presentation:
         starts = list(accumulate((s.n for s in self.pieces), initial=0))
         rows = [[INF] * starts[-1] for _ in range(starts[-1])]
         for s, off in zip(self.pieces, starts):
-            for i, row in enumerate(s.dist):
-                rows[off + i][off:off + s.n] = row
+            n, value = s.n, s.values.__getitem__
+            for i in range(n):
+                rows[off + i][off:off + n] = map(value, s.rank[i * n:i * n + n])
         for i, x, j, y in self.bridges:
             p, q = starts[i] + x, starts[j] + y
             if p != q and eps < rows[p][q]:

@@ -48,7 +48,7 @@ def enumerate_spaces(grid: DistanceGrid, *, max_nodes: int | None = None) -> tup
     """Every space over the grid, one per isometry class, smallest first."""
     budget = NodeBudget.of(max_nodes)
     out: list[Space] = []
-    seen: set[tuple] = set()
+    seen: set[Space] = set()
     for n in range(grid.max_size + 1):
         pairs = list(itertools.combinations(range(n), 2))
         for combo in itertools.product(grid.values, repeat=len(pairs)):
@@ -61,8 +61,8 @@ def enumerate_spaces(grid: DistanceGrid, *, max_nodes: int | None = None) -> tup
             except SpaceValidationError:
                 continue
             canon = canonical_form(space, max_nodes=budget).space
-            if canon.dist not in seen:
-                seen.add(canon.dist)
+            if canon not in seen:
+                seen.add(canon)
                 out.append(canon)
     return tuple(sorted(out, key=lambda s: (s.n, s.dist)))
 

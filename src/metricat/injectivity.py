@@ -5,7 +5,7 @@ tuples of the relevant hom-sets (memoized), and return a witness for every
 negative verdict so failures replay as standalone fixtures.
 
 The loops compare integer ranks, never ExtRat values.  Each call reads the
-cached rank tables of the spaces it measures in (``Space.ranks``) and turns
+rank tables of the spaces it measures in (``Space.ranks``) and turns
 each tolerance into a rank once: the largest rank at most the tolerance.  A
 distance is within the tolerance exactly when its rank is at most that rank,
 so every verdict stays exact; a witness's distance is mapped back to its

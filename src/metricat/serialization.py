@@ -75,9 +75,10 @@ def _expect_int(node: Any, pointer: str) -> int:
 # --------------------------------------------------------------------- space
 
 def space_to_json(space: Space) -> dict:
+    n, text = space.n, [rat_to_json(v) for v in space.values]
     doc: dict[str, Any] = {
-        "points": space.n,
-        "dist": [[rat_to_json(v) for v in row] for row in space.dist],
+        "points": n,
+        "dist": [list(map(text.__getitem__, space.rank[i * n:i * n + n])) for i in range(n)],
     }
     if space.labels is not None:
         doc["labels"] = list(space.labels)
@@ -181,7 +182,7 @@ def pair_from_json(node: Any, pointer: str = "", warnings: list[str] | None = No
     obj = _expect_object(node, pointer, ("f", "g"))
     f = map_from_json(obj["f"], f"{pointer}/f", warnings, resolver)
     g = map_from_json(obj["g"], f"{pointer}/g", warnings, resolver)
-    if f.dom.dist != g.dom.dist:
+    if f.dom.ranks() != g.dom.ranks():
         raise SchemaError("f and g must share their domain", f"{pointer}/g/dom")
     if f.dom != g.dom:
         # same matrix, different labels: normalize onto f's domain

@@ -66,128 +66,125 @@ def _axiom_violations(dist, *, full: bool = True):
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class Space:
-    """Immutable finite extended-metric space.
+def _ranking(dist):
+    """``(values, ranks)`` of a square matrix: its sorted distinct entries,
+    and the index among them of each entry, row-major."""
+    flat = tuple(itertools.chain.from_iterable(dist))
+    values = tuple(sorted(set(flat)))
+    index = dict(zip(values, range(len(values))))
+    return values, map(index.__getitem__, flat)
 
-    ``dist`` is the full symmetric matrix; ``labels`` are optional display
-    names.  There are three ways in:
+
+@dataclass(frozen=True, slots=True, init=False)
+class Space:
+    """Immutable finite extended-metric space, held as its rank table.
+
+    ``values`` are the sorted distinct distances, and ``rank[i * n + j]`` is
+    the index among them of the distance from i to j: a bytes object when
+    there are at most 256 values, else a tuple.  Ranks order exactly as the
+    distances do, and two spaces have equal tables exactly when they have
+    equal distance matrices.  ``labels`` are optional display names.  These
+    three fields are what equality, hashing and pickling read.  There are
+    three ways in:
 
     - ``Space(dist, labels)`` checks the cheap axioms (shape, diagonal,
-      symmetry, separation).  Products, coproducts, subspaces, canonical
-      forms and the small spaces built by hand use it; the triangle
-      inequality holds for them by construction.
+      symmetry, separation) of an ``ExtRat`` matrix and ranks it.  Products,
+      coproducts, subspaces and the small spaces built by hand use it; the
+      triangle inequality holds for them by construction.
     - ``Space._validated(dist, labels)`` checks every axiom, the triangle
-      included, once.  :func:`validate_space`, the JSON decoders, corpus
-      draws and grid enumeration use it.  Loading a run directory decodes
-      and fully validates each stage file once, and every map that refers
-      to the stage shares that one Space.
-    - ``Space._ranked(values, ranks)`` checks nothing: it builds the matrix
-      from a rank table in the form ``ranks()`` returns, before packing.
-      Only ``reflect._reflect`` uses it: its matrix is triangle-closed and
-      separated by construction, and it reads the table off its integer
-      closure.
+      included, once, and ranks the matrix.  :func:`validate_space`, the
+      JSON decoders, corpus draws and grid enumeration use it.  Loading a
+      run directory decodes and fully validates each stage file once, and
+      every map that refers to the stage shares that one Space.
+    - ``Space._ranked(values, ranks, labels)`` checks nothing: it stores a
+      rank table in the form ``ranks()`` returns, before packing.
+      ``reflect._reflect`` reads one off its integer closure, a canonical
+      form permutes one, and unpickling restores one.
 
     ``assert_metric`` runs the full check on demand; the tests call it on
-    internally built spaces.  Three caches are filled on first use and take
-    no part in equality, pickling or copying: the hash, the rank table
-    (``ranks``) and the ball masks (``balls``) that the searches in
-    :mod:`metricat.homsearch` read.
+    internally built spaces.  Three caches take no part in equality,
+    hashing, pickling or copying, and are filled on first use: the hash, the
+    ``ExtRat`` matrix ``dist``, built from the table, and the ball masks
+    (``balls``) that the searches in :mod:`metricat.homsearch` read.
     """
 
-    dist: tuple[tuple[ExtRat, ...], ...]
-    labels: tuple[str, ...] | None = None
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
-    _values: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _rank: bytes | tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _balls: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    values: tuple[ExtRat, ...]
+    rank: bytes | tuple[int, ...]
+    labels: tuple[str, ...] | None
+    n: int = field(compare=False, repr=False)
+    _hash: int | None = field(compare=False, repr=False)
+    _dist: tuple | None = field(compare=False, repr=False)
+    _balls: tuple | None = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "dist", tuple(tuple(row) for row in self.dist))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != len(self.dist):
-                raise SpaceValidationError([Violation("NotSquare", (len(self.labels),))])
-        bad = _axiom_violations(self.dist, full=False)
+    def __new__(cls, dist, labels=None):
+        dist = tuple(map(tuple, dist))
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != len(dist):
+                raise SpaceValidationError([Violation("NotSquare", (len(labels),))])
+        bad = _axiom_violations(dist, full=False)
         if bad:
             raise SpaceValidationError(bad)
+        return cls._ranked(*_ranking(dist), labels)
 
     @classmethod
     def _validated(cls, dist, labels=None) -> "Space":
         # Internal: check a tuple-of-tuples matrix against every axiom once,
-        # triangle included, then the label count, and skip __post_init__.
+        # triangle included, then the label count.
         bad = _axiom_violations(dist, full=True)
         if bad:
             raise SpaceValidationError(bad)
         if labels is not None and len(labels) != len(dist):
             raise SpaceValidationError([Violation("NotSquare", (len(labels),))])
-        return cls._bare(dist, labels)
+        return cls._ranked(*_ranking(dist), labels)
 
     @classmethod
-    def _ranked(cls, values, ranks) -> "Space":
+    def _ranked(cls, values, ranks, labels=None) -> "Space":
         # Internal: the space whose row-major distances are values[r] for r
         # in ranks, a triangle-closed, separated matrix; ``values`` sorted
-        # and distinct, as ``ranks()`` computes them.  No checks.
-        self = cls._bare(None, None)
-        values, rank = self._store_ranks(values, ranks)
-        n = isqrt(len(rank))
-        object.__setattr__(self, "dist", tuple(
-            tuple(map(values.__getitem__, rank[i * n:i * n + n])) for i in range(n)))
-        return self
-
-    @classmethod
-    def _bare(cls, dist, labels) -> "Space":
+        # and distinct, as ``ranks()`` computes them.  No checks.  Every
+        # space is built here, the one place the table is packed: bytes when
+        # at most 256 values, else a tuple.
         self = object.__new__(cls)
-        for slot in cls.__slots__:
-            object.__setattr__(self, slot, None)
-        object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "labels", labels)
+        rank = bytes(ranks) if len(values) <= 256 else tuple(ranks)
+        for name, value in (("values", values), ("rank", rank), ("labels", labels),
+                            ("n", isqrt(len(rank))), ("_hash", None), ("_dist", None),
+                            ("_balls", None)):
+            object.__setattr__(self, name, value)
         return self
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.dist, self.labels)))
+            object.__setattr__(self, "_hash", hash((self.values, self.rank, self.labels)))
         return self._hash
 
     def __reduce__(self):
         # Rebuild rather than copy the caches: a label's hash differs
         # between processes, so a cached hash must not travel.
-        return (Space, (self.dist, self.labels))
+        return (Space._ranked, (self.values, self.rank, self.labels))
 
     @property
-    def n(self) -> int:
-        return len(self.dist)
+    def dist(self) -> tuple[tuple[ExtRat, ...], ...]:
+        """The full symmetric distance matrix, read-only."""
+        if self._dist is None:
+            n, rank, value = self.n, self.rank, self.values.__getitem__
+            object.__setattr__(self, "_dist", tuple(
+                tuple(map(value, rank[i * n:i * n + n])) for i in range(n)))
+        return self._dist
 
     def d(self, i: int, j: int) -> ExtRat:
-        return self.dist[i][j]
+        return self.values[self.rank[i * self.n + j]]
 
     def ranks(self) -> tuple[tuple[ExtRat, ...], bytes | tuple[int, ...]]:
-        """``(values, rank)``: the sorted distinct distances, and the index
-        among them of each distance, row-major: ``rank[i * n + j]`` for
-        ``dist[i][j]``.  Ranks order exactly as the distances do.  ``rank``
-        is a bytes object when there are at most 256 values."""
-        if self._rank is None:
-            flat = tuple(itertools.chain.from_iterable(self.dist))
-            values = tuple(sorted(set(flat)))
-            index = {v: r for r, v in enumerate(values)}
-            self._store_ranks(values, map(index.__getitem__, flat))
-        return self._values, self._rank
-
-    def _store_ranks(self, values, ranks):
-        # The one place the rank table is packed: bytes when at most 256
-        # values, else a tuple.
-        rank = bytes(ranks) if len(values) <= 256 else tuple(ranks)
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_rank", rank)
-        return values, rank
+        """``(values, rank)``, the space's rank table."""
+        return self.values, self.rank
 
     def balls(self) -> tuple[bytes | tuple[int, ...], ...]:
         """``balls()[p][r]``: the bitmask (bit ``q`` for point ``q``) of the
         points at rank at most ``r`` from ``p``.  A row ``balls()[p]`` is a
         bytes object when there are at most 8 points."""
         if self._balls is None:
-            values, rank = self.ranks()
-            n = self.n
+            values, rank, n = self.values, self.rank, self.n
             table = []
             for p in range(n):
                 masks = [0] * len(values)
@@ -222,12 +219,18 @@ def validate_space(rows, labels=None) -> Space:
                             tuple(labels) if labels is not None else None)
 
 
+# The shared empty space and unlabelled point: the small constructors hand
+# out these two, so they are ranked and hashed once.
+_EMPTY = Space(())
+_POINT = Space(((ZERO,),))
+
+
 def empty_space() -> Space:
-    return Space(())
+    return _EMPTY
 
 
 def one_point(label: str | None = None) -> Space:
-    return Space(((ZERO,),), (label,) if label else None)
+    return Space(((ZERO,),), (label,)) if label else _POINT
 
 
 def two_point(eps) -> Space:
@@ -311,13 +314,8 @@ def hom_dist(f: MetMap, g: MetMap) -> ExtRat:
     """Sup-distance between parallel maps; ZERO on an empty domain."""
     if f.dom != g.dom or f.cod != g.cod:
         raise MismatchedEndpoints("hom_dist needs parallel morphisms")
-    best = ZERO
-    cd = f.cod.dist
-    for p, q in zip(f.map, g.map):
-        d = cd[p][q]
-        if d > best:
-            best = d
-    return best
+    (values, rank), m = f.cod.ranks(), f.cod.n
+    return values[max(rank[p * m + q] for p, q in zip(f.map, g.map))] if f.map else ZERO
 
 
 def is_eps_homotopic(f: MetMap, g: MetMap, eps) -> bool:

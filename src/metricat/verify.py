@@ -39,9 +39,8 @@ until a second mediator turns up.
 One budget covers the whole verification.  Each cocone checked costs one
 node (the report's ``checked``); the hom-set fetches and the mediator
 searches charge the nodes they visit, and a cached hom-set charges the nodes
-its search spent.  The apex is ranked once per verification on the side
-(``_Apex``) rather than through the apex ``Space``'s own cache, which would
-outlive the check; only a search over free apex points ranks it there.
+its search spent.  The square check and the apex pins read the apex's own
+rank table (``Space.ranks``), so nothing is ranked per verification.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from .colimits import (
     diagram_presentation, pair_presentation, span_presentation,
 )
 from .errors import MismatchedEndpoints
-from .extrat import ZERO, ExtRat
+from .extrat import ExtRat
 from .homsearch import _homs, _required, _search
 from .spaces import MetMap, Space
 
@@ -84,14 +83,13 @@ class _Apex:
     ``first[p]`` is the first position that pins apex point p, or one past
     the end for a free point.  ``tests[k]`` holds the tests that bind at leg
     k, the leg of their later position: the bridges as position pairs
-    (a, b), and the pins as (a, b, r) with r the index of their distance
-    among ``values``, the apex's sorted distinct distances.  A duplicate pin,
-    at distance zero, ties a later position of an apex point to its first;
-    the apex pairs are pins only when no apex point is free, as a search
-    checks them otherwise.
+    (a, b), and the pins as (a, b, r) with r the apex rank of their distance
+    (``Space.ranks``).  A duplicate pin, at distance zero, ties a later
+    position of an apex point to its first; the apex pairs are pins only
+    when no apex point is free, as a search checks them otherwise.
     """
 
-    __slots__ = ("space", "starts", "first", "free", "values", "tests")
+    __slots__ = ("space", "starts", "first", "free", "tests")
 
     def __init__(self, space: Space, legs, bridges):
         self.space = space
@@ -102,12 +100,11 @@ class _Apex:
             first.setdefault(p, k)
         self.free = space.n - len(first)
         self.first = at = [first.get(p, len(flat)) for p in range(space.n)]
-        self.values = sorted({d for row in space.dist for d in row})
         pins = [(first[p], k, 0) for k, p in enumerate(flat) if first[p] != k]
         if not self.free:
-            index = {v: r for r, v in enumerate(self.values)}
-            pins += [(*sorted((at[i], at[j])), index[space.dist[i][j]])
-                     for i in range(space.n) for j in range(i + 1, space.n)]
+            n, rank = space.n, space.rank
+            pins += [(*sorted((at[i], at[j])), rank[i * n + j])
+                     for i in range(n) for j in range(i + 1, n)]
         self.tests = [([], []) for _ in legs]
         for i, x, j, y in bridges:
             a, b = sorted((starts[i] + x, starts[j] + y))
@@ -198,7 +195,7 @@ class _Join:
         tests = [((), ())] * len(homs)
         if top > 0:
             e = bisect_right(values, eps) - 1
-            to = [bisect_right(values, v) - 1 for v in apex.values]
+            to = [bisect_right(values, v) - 1 for v in apex.space.values]
             tests = [([(a, b, e) for a, b in bridges] if e < top else (),
                       [(a, b, to[r]) for a, b, r in pins if to[r] < top])
                      for bridges, pins in apex.tests]
@@ -280,8 +277,8 @@ def _verify(p: Presentation, apex: Space, legs, eps: ExtRat, targets,
             leg.dom != piece or leg.cod != apex for leg, piece in zip(legs, p.pieces)):
         raise MismatchedEndpoints("the legs must map the pieces into the apex")
     maps = [leg.map for leg in legs]
-    dist = apex.dist
-    if max((dist[maps[i][x]][maps[j][y]] for i, x, j, y in p.bridges), default=ZERO) > eps:
+    (values, rank), n = apex.ranks(), apex.n
+    if any(values[rank[maps[i][x] * n + maps[j][y]]] > eps for i, x, j, y in p.bridges):
         return VerifyReport(False, 0, Counterexample("square", None, tuple(legs), ()))
     a = _Apex(apex, maps, p.bridges)
     checked = 0

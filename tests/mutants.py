@@ -62,6 +62,8 @@ VERIFY_BRUTE = "tests/test_colimits.py::TestVerifyMatchesBrute"
 VERIFY_NODES = "tests/test_colimits.py::TestVerifyNodeCharges"
 BOUNDARY = "tests/test_boundary.py::test_maps_leaving_the_library_are_valid"
 SPAN_REBUILD = "tests/test_boundary.py::test_gathered_spans_equal_their_public_rebuild"
+SPACES = "src/metricat/spaces.py"
+AXIOM_BRUTE = "tests/test_spaces.py::TestSpaceProperties::test_axiom_violations_match_the_triple_loop"
 # Exceptions (and their subclasses) that a broken replacement raises.
 BROKEN_BY = frozenset({"NameError", "UnboundLocalError", "ImportError", "ModuleNotFoundError",
                        "SyntaxError", "IndentationError", "TabError"})
@@ -202,8 +204,8 @@ MUTANTS = (
            "e = bisect_right(values, eps)",
            (VERIFY_TESTS,)),
     Mutant("verify-pin-ranks-off-by-one", VERIFY,
-           "to = [bisect_right(values, v) - 1 for v in apex.values]",
-           "to = [bisect_right(values, v) for v in apex.values]",
+           "to = [bisect_right(values, v) - 1 for v in apex.space.values]",
+           "to = [bisect_right(values, v) for v in apex.space.values]",
            (VERIFY_TESTS,)),
     Mutant("verify-no-duplicate-pins", VERIFY,
            "pins = [(first[p], k, 0) for k, p in enumerate(flat) if first[p] != k]",
@@ -218,8 +220,8 @@ MUTANTS = (
            "for arr in first_two)",
            (f"{VERIFY_BRUTE}::test_node_charge_with_free_apex_points",)),
     Mutant("verify-square-check-inclusive", VERIFY,
-           "default=ZERO) > eps:",
-           "default=ZERO) >= eps:",
+           "> eps for i, x, j, y in p.bridges):",
+           ">= eps for i, x, j, y in p.bridges):",
            (VERIFY_TESTS, VERIFY_BRUTE)),
     Mutant("verify-failing-prefix-forgotten", VERIFY,
            "meds = self.walk(k + 1, not ok & low)",
@@ -249,6 +251,22 @@ MUTANTS = (
            "MetMap._trusted(h.dom, stage.space, u)",
            "MetMap._trusted(h.dom, k.cod, u)",
            (f"{BOUNDARY}[audit_saturation]",)),
+    Mutant("space-eq-ignores-labels", SPACES,
+           "    labels: tuple[str, ...] | None\n",
+           "    labels: tuple[str, ...] | None = field(compare=False)\n",
+           ("tests/test_spaces.py::TestSpaceProperties::test_spaces_hash_by_value",)),
+    Mutant("space-packs-256-values-as-a-tuple", SPACES,
+           "if len(values) <= 256 else",
+           "if len(values) < 256 else",
+           ("tests/test_spaces.py::TestCaches::test_rank_table_is_bytes_up_to_256_values",)),
+    Mutant("space-accepts-zero-off-diagonal", SPACES,
+           "            elif dist[i][j] == ZERO:\n",
+           "            elif False:\n",
+           ("tests/test_spaces.py::TestValidation::test_zero_off_diagonal_rejected",)),
+    Mutant("space-constructor-checks-the-triangle", SPACES,
+           "bad = _axiom_violations(dist, full=False)",
+           "bad = _axiom_violations(dist, full=True)",
+           (AXIOM_BRUTE,)),
     Mutant("closest-ties-on-the-running-max", INJ,
            "            if x > d:\n                d = x\n        if d < best:\n",
            "            if x >= d:\n                d = x\n        if d < best:\n",

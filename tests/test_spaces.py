@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 
@@ -16,8 +17,9 @@ from metricat.errors import (
 )
 from metricat.extrat import INF, ZERO, rat
 from metricat import spaces
-from metricat.homsearch import automorphisms, hom_set
-from metricat.serialization import space_from_json
+from metricat.homsearch import automorphisms, hom_set, isometry_set
+from metricat.reflect import Semimetric, reflect
+from metricat.serialization import space_from_json, space_to_json
 from metricat.spaces import (
     MetMap,
     Space,
@@ -188,6 +190,26 @@ class TestCaches:
         # From point 2: {2} at rank 0, nothing new at rank 1, {0, 1} at rank 2.
         assert tuple(sp.balls()[2]) == (0b100, 0b100, 0b111)
 
+    @pytest.mark.parametrize("count", [256, 257])
+    def test_rank_table_is_bytes_up_to_256_values(self, count):
+        # 24 points, the k-th pair at 1000 + min(k, count - 2): two distances
+        # always sum past a third, so this is a space with count values, zero
+        # included.
+        rows = [[ZERO] * 24 for _ in range(24)]
+        for k, (i, j) in enumerate(itertools.combinations(range(24), 2)):
+            rows[i][j] = rows[j][i] = rat(1000 + min(k, count - 2))
+        dist = tuple(map(tuple, rows))
+        sp = Space(dist)
+        same = (validate_space(dist), space_from_json(space_to_json(sp)),
+                reflect(Semimetric(dist)).space, pickle.loads(pickle.dumps(sp)))
+        values, rank = sp.ranks()
+        assert (len(values), type(rank)) == (count, bytes if count <= 256 else tuple)
+        for other in same:
+            assert other == sp and hash(other) == hash(sp)
+            assert other.ranks() == (values, rank) and other.dist == dist
+        # d(0, p) names each point p, so the identity is the only isometry.
+        assert [m.map for m in isometry_set(sp, same[2])] == [tuple(range(24))]
+
 
 class TestHomDist:
     def test_equal_maps(self):
@@ -346,10 +368,20 @@ class TestSpaceProperties:
     @settings(max_examples=400)
     @given(distance_matrices())
     def test_axiom_violations_match_the_triple_loop(self, dist):
-        assert _axiom_violations(dist) == axiom_violations_brute(dist)
+        want = axiom_violations_brute(dist)
+        assert _axiom_violations(dist) == want
+        # The constructor raises the cheap kinds and leaves the triangle.
+        cheap = tuple(v for v in want if v.kind != "TriangleViolation")
+        if cheap:
+            with pytest.raises(SpaceValidationError) as err:
+                Space(dist)
+            assert err.value.violations == cheap
+        else:
+            Space(dist)
 
     def test_spaces_hash_by_value(self):
         a = validate_space([[0, 1], [1, 0]])
         b = validate_space([[0, 1], [1, 0]])
         assert a == b
         assert hash(a) == hash(b)
+        assert a != a.relabel(("x", "y"))
